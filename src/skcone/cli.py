@@ -20,7 +20,7 @@ from . import homogeneous as hom
 from . import projective as proj
 from . import verify as verify_mod
 from .errors import ParseError, SkconeError
-from .expr import check_homogeneity, parse_prepotential, pretty
+from .expr import check_homogeneity, max_or_nan, parse_prepotential, pretty
 
 
 def _parse_complex(text: str) -> complex:
@@ -147,18 +147,15 @@ def _cmd_projective(args) -> int:
     ast = parse_prepotential(args.expr, n_vars)
     u = _parse_point(args.point)
     dom = geo.domain_sample(ast, u)
-    basis_values = [
-        proj.projective_metric(ast, u, e) for e in np.eye(2 * n_vars)
-    ]
     xi = dom.xi
+    *basis_values, on_xi, on_jxi = proj.projective_metric_values(
+        dom, [*np.eye(2 * n_vars), xi, dom.J @ xi]
+    )
     _emit(
         {
             "u": _complex_list(u),
             "gbar_on_real_frame_basis": basis_values,
-            "vertical_residual": max(
-                abs(proj.projective_metric(ast, u, xi)),
-                abs(proj.projective_metric(ast, u, dom.J @ xi)),
-            ),
+            "vertical_residual": max_or_nan(abs(on_xi), abs(on_jxi)),
         }
     )
     return 0

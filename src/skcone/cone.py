@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, InadmissiblePoint
-from .expr import PrepotentialAst, parse_prepotential
-from .geometry import (
+from .expr import PrepotentialAst, max_or_nan, parse_prepotential
+# invert_flat_coords is not used here; it stays in this module's namespace,
+# whose bindings perfbench/selftest.py checks.
+from .geometry import (  # noqa: F401
     DomainSample,
+    FlatChart,
     canonical_symplectic,
     domain_sample,
     invert_flat_coords,
@@ -100,22 +103,8 @@ def random_tangent(sphere: SphereSample, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Chart:
-    """Flat-chart field evaluation around a seed point, with caching."""
-
-    def __init__(self, ast: PrepotentialAst, seed_z):
-        self.ast = ast
-        self.seed = np.asarray(seed_z, dtype=complex)
-        self._cache = {}
-
-    def sample(self, w) -> DomainSample:
-        key = w.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            z = invert_flat_coords(self.ast, w, self.seed)
-            hit = domain_sample(self.ast, z)
-            self._cache[key] = hit
-        return hit
+class _Chart(FlatChart):
+    """Fields in flat components, and their chart derivatives, around a seed."""
 
     def g_flat(self, w) -> np.ndarray:
         s = self.sample(w)
@@ -285,7 +274,6 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
     kappa = float(sphere.kappa)
     gamma0 = chart.christoffel(w0)
     g_flat0 = chart.g_flat(w0)
-    sigma0_flat = chart.sigma_flat(w0)
 
     def lc_sigma(w, direction, gamma):
         return chart.lc_deriv(chart.sigma_flat, w, direction, gamma)
@@ -310,13 +298,13 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
         # Killing: g(D_X sigma, Y) + g(X, D_Y sigma) = 0 for tangent X, Y.
         DXs = lc_sigma(w0, Xf, gamma0)
         DYs = lc_sigma(w0, Yf, gamma0)
-        killing = max(killing, abs(float(DXs @ g_flat0 @ Yf + Xf @ g_flat0 @ DYs)))
+        killing = max_or_nan(killing, abs(float(DXs @ g_flat0 @ Yf + Xf @ g_flat0 @ DYs)))
 
         # Affine: flat derivative of sigma vs Levi-Civita derivative, both
         # projected tangentially (Phi = nabla-hat sigma).
         nabla_s = np.linalg.solve(jac0, chart.dir_deriv(chart.sigma_flat, w0, Xf, _FIELD_STEP))
         lc_s = np.linalg.solve(jac0, DXs)
-        affine = max(affine, float(np.linalg.norm(_tangential(dom, nabla_s - lc_s))))
+        affine = max_or_nan(affine, float(np.linalg.norm(_tangential(dom, nabla_s - lc_s))))
 
         # Structure tensor equation, with the covariant derivative of Phi
         # assembled from a nested chart difference.
@@ -339,7 +327,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
         # Expanding (D-bar J) = 0 on the cone with J X = Phi X - eta(X) xi
         # puts kappa on both terms; for kappa = 1 this is the usual form.
         rhs = kappa * (dom.g_form(sphere.sigma, Y) * X - dom.g_form(X, Y) * sphere.sigma)
-        structure = max(structure, float(np.linalg.norm(lhs - rhs)))
+        structure = max_or_nan(structure, float(np.linalg.norm(lhs - rhs)))
 
         # Contact: d eta = 2 omega on ker eta.
         eta_sigma = float(sphere.eta @ sphere.sigma)
@@ -355,7 +343,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
         d1 = chart.dir_deriv(lambda w: np.array([eta_flat(w) @ Ycf]), w0, Xcf, _FIELD_STEP)
         d2 = chart.dir_deriv(lambda w: np.array([eta_flat(w) @ Xcf]), w0, Ycf, _FIELD_STEP)
         d_eta = float(d1[0] - d2[0])
-        contact = max(contact, abs(d_eta - 2.0 * dom.omega_form(Xc, Yc)))
+        contact = max_or_nan(contact, abs(d_eta - 2.0 * dom.omega_form(Xc, Yc)))
 
     return SasakiResiduals(killing=killing, structure=structure,
                            affine=affine, contact=contact)
@@ -421,8 +409,8 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
         raise ValueError("r must be positive")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    dom_p = domain_sample(ast, r * sphere.u)
-    chart = _Chart(ast, dom_p.z)
+    chart = _Chart(ast, r * sphere.u)
+    dom_p = chart.base
     wp = dom_p.flat
     Xt_flat = dom_p.flat_jac @ (r * X)
 

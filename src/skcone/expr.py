@@ -479,6 +479,20 @@ def eval_jet(ast: PrepotentialAst, z, order: int) -> ComplexJet:
 
 
 # ---------------------------------------------------------------------------
+# Residual reduction
+# ---------------------------------------------------------------------------
+
+
+def max_or_nan(a, b):
+    """The larger of two residuals, or NaN when either one is NaN.
+
+    Builtin ``max(a, b)`` returns ``a`` when only ``b`` is NaN, so a NaN
+    residual after the first would be dropped and the check would pass.
+    """
+    return a if a != a or a >= b else b
+
+
+# ---------------------------------------------------------------------------
 # Homogeneity check
 # ---------------------------------------------------------------------------
 
@@ -506,11 +520,11 @@ def check_homogeneity(ast: PrepotentialAst, samples, scales) -> HomogeneityRepor
             jet = eval_jet(ast, z, 1)
             f_z = jet.value
             euler = abs(np.dot(z, jet.deriv(1)) - 2.0 * f_z) / (1.0 + abs(2.0 * f_z))
-            euler_res = max(euler_res, euler)
+            euler_res = max_or_nan(euler_res, euler)
             for lam in scales:
                 f_scaled = eval_jet(ast, lam * z, 0).value
                 ref = lam * lam * f_z
-                scale_res = max(scale_res, abs(f_scaled - ref) / (1.0 + abs(ref)))
+                scale_res = max_or_nan(scale_res, abs(f_scaled - ref) / (1.0 + abs(ref)))
         except EvaluationSingularity:
             skipped.append(idx)
             continue
@@ -539,5 +553,5 @@ def jet_fd_residual(ast: PrepotentialAst, z, order: int = MAX_JET_ORDER) -> floa
                 hi = eval_jet(ast, z + dz, m - 1).deriv(m - 1)
                 lo = eval_jet(ast, z - dz, m - 1).deriv(m - 1)
             fd = (hi - lo) / (2.0 * step)
-            worst = max(worst, float(np.max(np.abs(fd - exact[..., j]))) / scale)
+            worst = max_or_nan(worst, float(np.max(np.abs(fd - exact[..., j]))) / scale)
     return worst

@@ -85,7 +85,6 @@ class DomainSample:
     J: np.ndarray          # real (2m, 2m), J^2 = -Id
     flat: np.ndarray       # (2m,)
     flat_jac: np.ndarray   # (2m, 2m)
-    flat_hess: np.ndarray  # (2m, 2m, 2m); [c, a, b] = d2 flat_c / dw_a dw_b
 
     @property
     def m(self) -> int:
@@ -118,23 +117,55 @@ def _dk_z(tau, f1, z):
     return -0.25j * (tau @ np.conj(z) - np.conj(f1))
 
 
-def kahler_potential(ast: PrepotentialAst, z) -> float:
-    """k(z) = Im(sum_i dF/dz_i * conj(z_i)) / 2."""
-    z = np.asarray(z, dtype=complex)
-    jet = eval_jet(ast, z, 1)
+def _k_of(jet, z) -> float:
+    """k(z) from a jet of F at z of order >= 1."""
     return 0.5 * float(np.imag(np.dot(jet.deriv(1), np.conj(z))))
 
 
-def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT) -> DomainSample:
-    """Assemble the full pointwise structure; raises on inadmissible points."""
+def _flat_jacobian(tau) -> np.ndarray:
+    """Jacobian of the flat map (x, y) = (Re z, Re dF/dz) on the real frame."""
+    m = tau.shape[0]
+    jac = np.zeros((2 * m, 2 * m))
+    jac[:m, :m] = np.eye(m)
+    jac[m:, :m] = tau.real
+    jac[m:, m:] = -np.imag(tau)
+    return jac
+
+
+def _flat_hessian_tensor(f3) -> np.ndarray:
+    """Second derivatives of the flat map: [c, a, b] = d2 flat_c / dw_a dw_b."""
+    m = f3.shape[0]
+    hess = np.zeros((2 * m, 2 * m, 2 * m))
+    re3, im3 = f3.real, f3.imag
+    for j in range(m):
+        hess[m + j, :m, :m] = re3[j]
+        hess[m + j, :m, m:] = -im3[j]
+        hess[m + j, m:, :m] = -im3[j]
+        hess[m + j, m:, m:] = -re3[j]
+    return hess
+
+
+def kahler_potential(ast: PrepotentialAst, z) -> float:
+    """k(z) = Im(sum_i dF/dz_i * conj(z_i)) / 2."""
+    z = np.asarray(z, dtype=complex)
+    return _k_of(eval_jet(ast, z, 1), z)
+
+
+def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
+                  jet=None) -> DomainSample:
+    """Assemble the full pointwise structure; raises on inadmissible points.
+
+    ``jet`` is a jet of F at z of order >= 2 to build from, in place of a
+    fresh order-2 evaluation; :class:`FlatChart` passes Newton's last jet.
+    """
     z = np.asarray(z, dtype=complex)
     m = ast.n_vars
-    jet = eval_jet(ast, z, 3)
+    if jet is None:
+        jet = eval_jet(ast, z, 2)
     f1 = jet.deriv(1)
     tau = jet.deriv(2)
-    f3 = jet.deriv(3)
 
-    k = 0.5 * float(np.imag(np.dot(f1, np.conj(z))))
+    k = _k_of(jet, z)
     if abs(k) < k_min:
         raise InadmissiblePoint(f"|k| = {abs(k):.3e} below admissibility gate {k_min:.1e}")
 
@@ -156,21 +187,8 @@ def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT) -> Doma
     J = complex_structure(m)
 
     flat = np.concatenate([z.real, f1.real])
-    jac = np.zeros((2 * m, 2 * m))
-    jac[:m, :m] = np.eye(m)
-    jac[m:, :m] = tau.real
-    jac[m:, m:] = -N
-
-    hess = np.zeros((2 * m, 2 * m, 2 * m))
-    re3, im3 = f3.real, f3.imag
-    for j in range(m):
-        hess[m + j, :m, :m] = re3[j]
-        hess[m + j, :m, m:] = -im3[j]
-        hess[m + j, m:, :m] = -im3[j]
-        hess[m + j, m:, m:] = -re3[j]
-
     return DomainSample(z=z, k=k, dk=dk, h=N.astype(complex), g=g, omega=omega,
-                        J=J, flat=flat, flat_jac=jac, flat_hess=hess)
+                        J=J, flat=flat, flat_jac=_flat_jacobian(tau))
 
 
 def parabolic_immersion(ast: PrepotentialAst, z) -> np.ndarray:
@@ -184,45 +202,89 @@ def parabolic_immersion(ast: PrepotentialAst, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50) -> np.ndarray:
-    """Newton-invert the flat coordinate map near ``z_init``.
+def _newton(ast: PrepotentialAst, target, w, jet, max_steps: int = 50):
+    """Newton-invert the flat map from the real point w.
 
-    Returns z with |flat(z) - target| <= 1e-12 * (1 + |target|).
+    ``jet`` is the order-2 jet at w, or None to evaluate it.  Returns the
+    converged real point together with its order-2 jet.
     """
     target = np.asarray(target, dtype=float)
     tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
-    w = to_real(np.asarray(z_init, dtype=complex))
     m = ast.n_vars
     for _ in range(max_steps):
-        try:
-            jet = eval_jet(ast, to_complex(w), 2)
-        except EvaluationSingularity as exc:
-            raise NoConvergence(f"hit a singular point during Newton: {exc}") from exc
-        f1 = jet.deriv(1)
-        tau = jet.deriv(2)
-        flat = np.concatenate([w[:m], f1.real])
+        if jet is None:
+            try:
+                jet = eval_jet(ast, to_complex(w), 2)
+            except EvaluationSingularity as exc:
+                raise NoConvergence(f"hit a singular point during Newton: {exc}") from exc
+        flat = np.concatenate([w[:m], jet.deriv(1).real])
         res = flat - target
         if np.linalg.norm(res) <= tol:
-            return to_complex(w)
-        jac = np.zeros((2 * m, 2 * m))
-        jac[:m, :m] = np.eye(m)
-        jac[m:, :m] = tau.real
-        jac[m:, m:] = -np.imag(tau)
+            return w, jet
         try:
-            step = np.linalg.solve(jac, res)
+            step = np.linalg.solve(_flat_jacobian(jet.deriv(2)), res)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetric("flat-coordinate Jacobian is singular") from exc
         if not np.all(np.isfinite(step)):
             raise DegenerateMetric("flat-coordinate Jacobian is numerically singular")
         w = w - step
+        jet = None
     raise NoConvergence(f"Newton did not reach tolerance {tol:.1e} in {max_steps} steps")
 
 
-def _k_real_hessian(ast: PrepotentialAst, sample: DomainSample) -> np.ndarray:
-    """Real-frame Hessian of k, assembled from the order-3 jet."""
+def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50) -> np.ndarray:
+    """Newton-invert the flat coordinate map near ``z_init``.
+
+    Returns z with |flat(z) - target| <= 1e-12 * (1 + |target|).
+    """
+    w0 = to_real(np.asarray(z_init, dtype=complex))
+    return to_complex(_newton(ast, target, w0, None, max_steps)[0])
+
+
+class FlatChart:
+    """The flat chart around a seed point: every chart point Newton-inverted.
+
+    The seed's order-2 jet is evaluated once and starts every inversion.
+    Each chart point w is memoised by ``w.tobytes()`` as its converged z
+    with Newton's last jet, and its :class:`DomainSample` is built from that
+    jet, so a chart point costs no jet beyond its Newton steps.
+    """
+
+    def __init__(self, ast: PrepotentialAst, seed_z):
+        seed = np.asarray(seed_z, dtype=complex)
+        self.ast = ast
+        self._seed_w = to_real(seed)
+        self._seed_jet = eval_jet(ast, seed, 2)
+        self.base = domain_sample(ast, seed, jet=self._seed_jet)
+        self._points = {}
+        self._samples = {}
+
+    def point(self, w):
+        """The Newton-inverted z of chart point w, with the order-2 jet of F at z."""
+        key = w.tobytes()
+        hit = self._points.get(key)
+        if hit is None:
+            w_conv, jet = _newton(self.ast, w, self._seed_w, self._seed_jet)
+            hit = self._points[key] = (to_complex(w_conv), jet)
+        return hit
+
+    def k(self, w) -> float:
+        z, jet = self.point(w)
+        return _k_of(jet, z)
+
+    def sample(self, w) -> DomainSample:
+        key = w.tobytes()
+        hit = self._samples.get(key)
+        if hit is None:
+            z, jet = self.point(w)
+            hit = self._samples[key] = domain_sample(self.ast, z, jet=jet)
+        return hit
+
+
+def _k_real_hessian(sample: DomainSample, f3) -> np.ndarray:
+    """Real-frame Hessian of k, assembled from the third derivatives of F."""
     z = sample.z
     m = sample.m
-    f3 = eval_jet(ast, z, 3).deriv(3)
     # A_jl = d2k/dz_j dz_l = (1/4i) sum_i F3_ijl conj(z_i);  B = N/2 is real.
     A = -0.25j * np.einsum("ijl,i->jl", f3, np.conj(z))
     N = np.real(sample.h)
@@ -236,11 +298,14 @@ def _k_real_hessian(ast: PrepotentialAst, sample: DomainSample) -> np.ndarray:
 
 def flat_hessian_of_k(ast: PrepotentialAst, z) -> np.ndarray:
     """Hessian of k with respect to the flat chart (analytic chain rule)."""
-    s = domain_sample(ast, z)
-    H_w = _k_real_hessian(ast, s)
+    z = np.asarray(z, dtype=complex)
+    jet = eval_jet(ast, z, 3)
+    s = domain_sample(ast, z, jet=jet)
+    f3 = jet.deriv(3)
+    H_w = _k_real_hessian(s, f3)
     jac_inv = np.linalg.inv(s.flat_jac)
     grad_flat = jac_inv.T @ s.dk
-    corrected = H_w - np.einsum("c,cab->ab", grad_flat, s.flat_hess)
+    corrected = H_w - np.einsum("c,cab->ab", grad_flat, _flat_hessian_tensor(f3))
     return jac_inv.T @ corrected @ jac_inv
 
 
@@ -248,14 +313,12 @@ def flat_hessian_fd(ast: PrepotentialAst, z, step: float = 1e-4) -> np.ndarray:
     """Finite-difference oracle for :func:`flat_hessian_of_k`.
 
     Central second differences of k along the flat chart, with every chart
-    point realized through :func:`invert_flat_coords`.
+    point Newton-inverted through a :class:`FlatChart` seeded at z.
     """
-    z = np.asarray(z, dtype=complex)
-    w0 = domain_sample(ast, z).flat
+    chart = FlatChart(ast, z)
+    w0 = chart.base.flat
     n = w0.size
-
-    def k_at(w):
-        return kahler_potential(ast, invert_flat_coords(ast, w, z))
+    k_at = chart.k
 
     k0 = k_at(w0)
     H = np.zeros((n, n))
@@ -306,9 +369,9 @@ def monge_ampere_spread(ast: PrepotentialAst, samples) -> MongeAmpereReport:
 
 def lemma1_residuals(ast: PrepotentialAst, z) -> dict:
     """Residuals of h(xi,.) = 2 dbar k, g(xi,.) = dk, g(xi,xi) = 2k."""
-    s = domain_sample(ast, z)
+    jet = eval_jet(ast, z, 2)
+    s = domain_sample(ast, z, jet=jet)
     zc = s.z
-    jet = eval_jet(ast, zc, 2)
     dkz = _dk_z(jet.deriv(2), jet.deriv(1), zc)
     h_xi = s.h @ zc                        # components of h(xi, .) in dzbar
     r1 = float(np.linalg.norm(h_xi - 2.0 * np.conj(dkz)))
@@ -362,47 +425,44 @@ def antisymmetrized_chart_derivative(field, w0, step: float) -> float:
     return float(np.max(np.abs(anti)))
 
 
-def _pushforward_J(ast, w, seed):
-    s = domain_sample(ast, invert_flat_coords(ast, w, seed))
-    return s.flat_jac @ s.J @ np.linalg.inv(s.flat_jac)
-
-
-def dnabla_J_residual(ast: PrepotentialAst, z, step: float = 1e-4) -> float:
+def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
-    z = np.asarray(z, dtype=complex)
-    w0 = domain_sample(ast, z).flat
+    w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
-    return antisymmetrized_chart_derivative(lambda w: _pushforward_J(ast, w, z), w0, h)
+
+    def J_flat(w):
+        s = chart.sample(w)
+        return s.flat_jac @ s.J @ np.linalg.inv(s.flat_jac)
+
+    return antisymmetrized_chart_derivative(J_flat, w0, h)
 
 
-def omega_parallel_residual(ast: PrepotentialAst, z, step: float = 1e-4) -> float:
+def omega_parallel_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
-    z = np.asarray(z, dtype=complex)
-    w0 = domain_sample(ast, z).flat
+    w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
 
     def omega_flat(w):
-        s = domain_sample(ast, invert_flat_coords(ast, w, z))
+        s = chart.sample(w)
         jac_inv = np.linalg.inv(s.flat_jac)
         return jac_inv.T @ s.omega @ jac_inv
 
     return float(np.max(np.abs(chart_matrix_derivative(omega_flat, w0, h))))
 
 
-def d_eta_residual(ast: PrepotentialAst, z, step: float = 1e-4) -> float:
+def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Residual of d(eta) = 2*omega in the flat chart.
 
     eta = omega(xi, .) is realized as a chart covector field through the
     inverse coordinate map, so the check exercises both the parallelism of
     omega and the position-field property of xi.
     """
-    z = np.asarray(z, dtype=complex)
-    s0 = domain_sample(ast, z)
+    s0 = chart.base
     w0 = s0.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
 
     def eta_flat(w):
-        s = domain_sample(ast, invert_flat_coords(ast, w, z))
+        s = chart.sample(w)
         return np.linalg.solve(s.flat_jac.T, s.eta())
 
     D = chart_matrix_derivative(eta_flat, w0, h)  # D[a, b] = d_a eta_b

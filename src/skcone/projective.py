@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissiblePoint
-from .expr import PrepotentialAst, parse_prepotential
+from .expr import PrepotentialAst, max_or_nan, parse_prepotential
 from .geometry import DomainSample, domain_sample, to_complex, to_real
 
 _LEVEL_TOL = 1e-8
@@ -67,8 +67,16 @@ def _gbar(dom: DomainSample, X, Y) -> float:
 
 def projective_metric(ast: PrepotentialAst, u, X) -> float:
     """gbar evaluated on (the projection of) X at the orbit of u."""
-    dom = domain_sample(ast, u)
-    return _gbar(dom, np.asarray(X, dtype=float), np.asarray(X, dtype=float))
+    return projective_metric_values(domain_sample(ast, u), [X])[0]
+
+
+def projective_metric_values(dom: DomainSample, vectors) -> list:
+    """gbar(X, X) for each X in ``vectors``, all from the one sample ``dom``."""
+    out = []
+    for X in vectors:
+        X = np.asarray(X, dtype=float)
+        out.append(_gbar(dom, X, X))
+    return out
 
 
 def projective_metric_bilinear(ast: PrepotentialAst, u, X, Y) -> float:
@@ -98,7 +106,7 @@ def pkm_vertical_residual(ast: PrepotentialAst, u) -> float:
     """gbar must annihilate the vertical plane span(xi, J xi)."""
     dom = domain_sample(ast, u)
     xi = dom.xi
-    return max(abs(_gbar(dom, xi, xi)), abs(_gbar(dom, dom.J @ xi, dom.J @ xi)))
+    return max_or_nan(abs(_gbar(dom, xi, xi)), abs(_gbar(dom, dom.J @ xi, dom.J @ xi)))
 
 
 def pkm_pullback_residual(ast: PrepotentialAst, u, X) -> float:

@@ -29,7 +29,7 @@ from .errors import (
     NoConvergence,
     SkconeError,
 )
-from .expr import check_homogeneity, jet_fd_residual, parse_prepotential
+from .expr import check_homogeneity, jet_fd_residual, max_or_nan, parse_prepotential
 
 _HOMOGENEITY_SCALES = (2.0, 1.0 + 0.7j)
 _WARPED_R = 2.5
@@ -185,9 +185,25 @@ class _Context:
         self.fitted: dict = {}
         self._spheres: dict = {}
         self._sasaki: dict = {}
+        self._charts: dict = {}
+        self._lemma1: dict = {}
 
     def rng(self, salt: int, idx: int = 0):
         return np.random.default_rng([self.config.seed, salt, idx])
+
+    def chart(self, idx: int):
+        """Flat chart seeded at sample idx, shared by the chart stencil checks."""
+        if idx not in self._charts:
+            self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
+        return self._charts[idx]
+
+    def lemma1(self, idx: int):
+        """Lemma 1 residuals at sample idx, relative to 1 + |k|."""
+        if idx not in self._lemma1:
+            res = geo.lemma1_residuals(self.ast, self.samples[idx])
+            scale = 1.0 + abs(self.chart(idx).base.k)
+            self._lemma1[idx] = {key: r / scale for key, r in res.items()}
+        return self._lemma1[idx]
 
     def sphere(self, idx: int):
         if idx not in self._spheres:
@@ -236,12 +252,6 @@ def _chk_ad_fd(ctx, idx, z):
     return jet_fd_residual(ctx.ast, z)
 
 
-def _lemma1(ctx, idx, z, key):
-    s = geo.domain_sample(ctx.ast, z)
-    res = geo.lemma1_residuals(ctx.ast, z)
-    return res[key] / (1.0 + abs(s.k))
-
-
 def _chk_npotential(ctx, idx, z):
     s = geo.domain_sample(ctx.ast, z)
     H = geo.flat_hessian_of_k(ctx.ast, z)
@@ -276,7 +286,7 @@ def _chk_gauss(ctx, idx, z):
     worst = 0.0
     for X, Y in ctx.tangent_pairs(idx, 2, salt=103):
         split = cone_mod.gauss_split(ctx.ast, sp, X, Y)
-        worst = max(worst, abs(split.normal_coeff - sp.domain.g_form(X, Y)))
+        worst = max_or_nan(worst, abs(split.normal_coeff - sp.domain.g_form(X, Y)))
     return worst
 
 
@@ -284,7 +294,7 @@ def _chk_shape(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=104):
-        worst = max(worst, cone_mod.shape_residual(ctx.ast, sp, X))
+        worst = max_or_nan(worst, cone_mod.shape_residual(ctx.ast, sp, X))
     return worst
 
 
@@ -319,7 +329,7 @@ def _chk_submersion(ctx, idx, z):
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=107):
         Xh = proj.horizontal_project(ctx.ast, sp.u, X)
-        worst = max(worst, proj.submersion_residual(ctx.ast, sp.u, Xh))
+        worst = max_or_nan(worst, proj.submersion_residual(ctx.ast, sp.u, Xh))
     return worst
 
 
@@ -331,7 +341,7 @@ def _chk_pkm_pullback(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=108):
-        worst = max(worst, proj.pkm_pullback_residual(ctx.ast, sp.u, X))
+        worst = max_or_nan(worst, proj.pkm_pullback_residual(ctx.ast, sp.u, X))
     return worst
 
 
@@ -353,7 +363,7 @@ def _chk_fs_closed_form(ctx, idx, z):
     worst = 0.0
     for _ in range(2):
         X = rng.standard_normal(2 * ctx.config.n_vars)
-        worst = max(worst, proj.fubini_study_compare(sp.u, X))
+        worst = max_or_nan(worst, proj.fubini_study_compare(sp.u, X))
     ctx.fitted["fs_metric_scale"] = proj.fs_fitted_constant()
     return worst
 
@@ -382,7 +392,7 @@ def _agg_sigma_xq(ctx):
     worst = 0.0
     for idx in range(len(ctx.samples)):
         sp = ctx.sphere(idx)
-        worst = max(
+        worst = max_or_nan(
             worst,
             cone_mod.hamiltonian_field_residual(ctx.ast, sp, potential=potential),
         )
@@ -408,7 +418,7 @@ def _sec5_invariance(tag):
             for case in cases:
                 v = hom.random_vector(case, rng)
                 gen = hom.random_generator(case, rng)
-                worst = max(worst, hom.lie_invariance_residual(case, v, gen))
+                worst = max_or_nan(worst, hom.lie_invariance_residual(case, v, gen))
                 pairs += 1
         return {"pairs": pairs}, worst
 
@@ -426,7 +436,7 @@ def _sec5_homogeneity(tag):
                 t = 1.0 + rng.random()
                 q_scaled = hom.quartic_eval(case, t * v)
                 q_ref = t**4 * hom.quartic_eval(case, v)
-                worst = max(worst, abs(q_scaled - q_ref) / (1.0 + abs(q_ref)))
+                worst = max_or_nan(worst, abs(q_scaled - q_ref) / (1.0 + abs(q_ref)))
         return {"vectors": 10 * len(cases)}, worst
 
     return run
@@ -453,16 +463,16 @@ _REGISTRY = {
     "expr.homogeneity.scale": ("domain", "analytic", _chk_homog_scale, _always, None),
     "expr.homogeneity.euler": ("domain", "analytic", _chk_homog_euler, _always, None),
     "expr.ad_vs_fd": ("domain", 1e-6, _chk_ad_fd, _always, 50),
-    "lemma1.h_xi_dbar_k": ("domain", "analytic", lambda c, i, z: _lemma1(c, i, z, "r1"), _always, None),
-    "lemma1.g_xi_dk": ("domain", "analytic", lambda c, i, z: _lemma1(c, i, z, "r2"), _always, None),
-    "lemma1.g_xi_xi": ("domain", "analytic", lambda c, i, z: _lemma1(c, i, z, "r3"), _always, None),
+    "lemma1.h_xi_dbar_k": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r1"], _always, None),
+    "lemma1.g_xi_dk": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"], _always, None),
+    "lemma1.g_xi_xi": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r3"], _always, None),
     "cor.npotential.flat_hessian": ("domain", 1e-8, _chk_npotential, _always, None),
     "oracle.flat_hessian_fd": ("domain", 1e-5, _chk_hessian_oracle, _always, 50),
     "prop.xi.flat_position": ("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.ast, z), _always, None),
     "cone.metric_scaling": ("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.ast, z), _always, None),
-    "flat.omega_parallel": ("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.ast, z), _always, None),
-    "eq.special.dnabla_j": ("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.ast, z), _always, None),
-    "contact.d_eta": ("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.ast, z), _always, None),
+    "flat.omega_parallel": ("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i)), _always, None),
+    "eq.special.dnabla_j": ("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i)), _always, None),
+    "contact.d_eta": ("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i)), _always, None),
     "eq.ma.spread": ("aggregate", 1e-6, _agg_ma_spread, _always, None),
     "sphere.on_level": ("sphere", 1e-10, _chk_sphere_level, _if_spheres, None),
     "sphere.frame_tangency": ("sphere", 1e-10, _chk_frame_tangency, _if_spheres, None),
@@ -589,7 +599,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     for r in results:
         if r.residual is not None:
             prev = max_residual.get(r.id)
-            max_residual[r.id] = r.residual if prev is None else max(prev, r.residual)
+            max_residual[r.id] = r.residual if prev is None else max_or_nan(prev, r.residual)
     passed = sum(1 for r in results if r.passed)
     summary = {
         "counts": {"total": len(results), "passed": passed, "failed": len(results) - passed},

@@ -290,6 +290,6 @@ def test_criterion_7_negative_controls():
     residual = geo.antisymmetrized_chart_derivative(perturbed, s.flat, h)
     tolerance = 1e-5  # the chart_fd class used by eq.special.dnabla_j
     assert residual >= 10 * tolerance
-    assert geo.dnabla_J_residual(stu, z) < tolerance
+    assert geo.dnabla_J_residual(geo.FlatChart(stu, z)) < tolerance
     _report("7 negative controls",
             f"(euler {rep.euler_residual:.3f} >= 0.1, perturbed J {residual:.2e} >= 1e-4)")

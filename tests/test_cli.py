@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from skcone import geometry as geo
+from skcone import projective as proj
 from skcone.cli import main
+from skcone.expr import parse_prepotential
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +106,19 @@ def test_sphere_inadmissible_exit_2(capsys):
     assert code == 2
 
 
+def _per_vector_projective(expr, n_vars, point):
+    """The projective command's output, one projective_metric call per vector."""
+    ast = parse_prepotential(expr, n_vars)
+    u = np.array([complex(p.replace("i", "j")) for p in point.split(",")])
+    xi = geo.to_real(u)
+    basis = [proj.projective_metric(ast, u, e) for e in np.eye(2 * n_vars)]
+    vertical = max(
+        abs(proj.projective_metric(ast, u, xi)),
+        abs(proj.projective_metric(ast, u, geo.complex_structure(n_vars) @ xi)),
+    )
+    return basis, vertical
+
+
 def test_projective_output(capsys):
     code, out, _ = run_cli(
         capsys, "projective", "--expr", "i*(z0^2 + z1^2)", "--point", "1,0"
@@ -111,6 +127,15 @@ def test_projective_output(capsys):
     doc = json.loads(out)
     assert doc["vertical_residual"] < 1e-12
     assert doc["gbar_on_real_frame_basis"][1] == pytest.approx(1.0)
+    # One shared domain sample gives exactly the per-vector values.
+    for expr, n_vars, point in (("i*(z0^2 + z1^2)", 2, "1,0"),
+                                ("z1*z2*z3/z0", 4, "1,0.2+i,0.1+0.9i,i")):
+        code, out, _ = run_cli(capsys, "projective", "--expr", expr, "--point", point)
+        assert code == 0
+        doc = json.loads(out)
+        basis, vertical = _per_vector_projective(expr, n_vars, point)
+        assert doc["gbar_on_real_frame_basis"] == basis
+        assert doc["vertical_residual"] == vertical
 
 
 # ---------------------------------------------------------------------------

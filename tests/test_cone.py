@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -199,10 +201,34 @@ def test_sasaki_stu_lorentzian(stu, stu_spheres, rng):
         assert res.contact < 1e-4
 
 
+def test_sasaki_residuals_keep_nan_from_a_later_pair(stu, stu_spheres, rng, monkeypatch):
+    """Chart values of sigma and the omega pairing turn NaN from the second pair on."""
+    sp = stu_spheres[0]
+    pairs = [(cone.random_tangent(sp, rng), cone.random_tangent(sp, rng)) for _ in range(2)]
+    calls = Counter()
+    first_pair = {}
+
+    def poisoned(name, real):
+        def wrapped(self, *args):
+            calls[name] += 1
+            out = real(self, *args)
+            return out * np.nan if calls[name] > first_pair.get(name, np.inf) else out
+
+        return wrapped
+
+    monkeypatch.setattr(cone._Chart, "sigma_flat", poisoned("sigma", cone._Chart.sigma_flat))
+    monkeypatch.setattr(geo.DomainSample, "omega_form", poisoned("omega", geo.DomainSample.omega_form))
+    cone.sasaki_residuals(stu, sp, pairs[:1])
+    first_pair.update(calls)
+    calls.clear()
+    res = cone.sasaki_residuals(stu, sp, pairs)
+    assert all(np.isnan(v) for v in (res.killing, res.structure, res.affine, res.contact))
+
+
 def test_affine_sasaki_matches_dnabla_j(stu, stu_spheres, rng):
     # Prop-style equivalence: both residuals small on the same points
     for sp in stu_spheres:
-        assert geo.dnabla_J_residual(stu, sp.u) < 1e-5
+        assert geo.dnabla_J_residual(geo.FlatChart(stu, sp.u)) < 1e-5
         pair = (cone.random_tangent(sp, rng), cone.random_tangent(sp, rng))
         assert cone.sasaki_residuals(stu, sp, [pair]).affine < 1e-4
 

@@ -15,9 +15,12 @@ from skcone.expr import (
     check_homogeneity,
     eval_jet,
     jet_fd_residual,
+    max_or_nan,
     parse_prepotential,
     pretty,
 )
+
+from conftest import stu_points
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -250,6 +253,23 @@ def test_eval_rejects_wrong_shape(fs2):
         eval_jet(fs2, np.ones(2, dtype=complex), 5)
 
 
+@pytest.mark.parametrize("name", ["fs3", "stu", "sig3"])
+def test_lower_tensors_do_not_depend_on_order(name, request, rng):
+    """An order-k jet carries bit-identical lower tensors to an order-j jet (j < k)."""
+    ast = request.getfixturevalue(name)
+    if name == "stu":
+        points = stu_points(3, seed=19)
+    else:
+        points = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+    for z in points:
+        jets = [eval_jet(ast, z, order) for order in range(5)]
+        for k in range(1, 5):
+            for j in range(k):
+                assert jets[k].value == jets[j].value
+                for r in range(1, j + 1):
+                    assert np.array_equal(jets[k].deriv(r), jets[j].deriv(r))
+
+
 # ---------------------------------------------------------------------------
 # homogeneity
 # ---------------------------------------------------------------------------
@@ -279,3 +299,22 @@ def test_singular_samples_are_flagged(stu):
     rep = check_homogeneity(stu, samples, [2.0])
     assert rep.skipped == (0,)
     assert rep.euler_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# NaN-propagating reduction
+# ---------------------------------------------------------------------------
+
+
+def test_max_or_nan_keeps_a_later_nan():
+    nan = float("nan")
+    assert max(0.0, nan) == 0.0  # the builtin drops it
+    assert np.isnan(max_or_nan(0.0, nan))
+    assert np.isnan(max_or_nan(nan, 1.0))
+    assert max_or_nan(1.0, 2.0) == 2.0 and max_or_nan(2.0, 1.0) == 2.0
+
+
+def test_homogeneity_reports_nan_from_a_later_sample(fs2):
+    samples = [np.ones(2, dtype=complex), np.array([1.0, np.nan], dtype=complex)]
+    rep = check_homogeneity(fs2, samples, [2.0])
+    assert np.isnan(rep.euler_residual) and np.isnan(rep.scale_residual)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skcone.verify as verify
+from skcone import cone
 from skcone.errors import AdmissibleRegionTooSmall, InadmissiblePoint
 
 
@@ -231,3 +232,50 @@ def test_registry_has_spec_ids():
         "sec5.A.invariance",
     ):
         assert cid in verify.CHECK_IDS
+
+
+# ---------------------------------------------------------------------------
+# NaN propagation
+# ---------------------------------------------------------------------------
+
+
+def _nan_on_call(real, nth):
+    """Wrap ``real`` so that its nth call (1-based) returns NaN."""
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return float("nan") if calls[0] == nth else real(*args, **kwargs)
+
+    return wrapped
+
+
+def test_nan_in_a_later_pair_fails_the_check(monkeypatch):
+    real = cone.gauss_split
+
+    def gauss_split(*args, **kwargs):
+        split = real(*args, **kwargs)
+        return cone.GaussSplit(split.tangential, float("nan")) if calls.pop() else split
+
+    calls = [True, False]  # popped from the end: the second pair gets NaN
+    monkeypatch.setattr(verify.cone_mod, "gauss_split", gauss_split)
+    report = verify.run_suite(small_config(sample_count=1, checks=("thm.affinesphere.gauss",)))
+    (result,) = report.checks
+    assert np.isnan(result.residual) and not result.passed
+
+
+def test_nan_in_a_later_sec5_pair_fails_the_check(monkeypatch):
+    monkeypatch.setattr(verify.hom, "lie_invariance_residual",
+                        _nan_on_call(verify.hom.lie_invariance_residual, 2))
+    report = verify.run_suite(small_config(sample_count=1, checks=("sec5.G.invariance",)))
+    (result,) = report.checks
+    assert np.isnan(result.residual) and not result.passed
+
+
+def test_summary_max_residual_keeps_a_later_nan(monkeypatch):
+    kind, tol, _, applicable, cap = verify._REGISTRY["lemma1.g_xi_xi"]
+    runner = lambda ctx, idx, z: float("nan") if idx == 1 else 0.0  # noqa: E731
+    monkeypatch.setitem(verify._REGISTRY, "lemma1.g_xi_xi", (kind, tol, runner, applicable, cap))
+    report = verify.run_suite(small_config(sample_count=3, checks=("lemma1.g_xi_xi",)))
+    assert np.isnan(report.summary["max_residual"]["lemma1.g_xi_xi"])
+    assert not report.all_pass
