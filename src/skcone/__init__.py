@@ -11,9 +11,10 @@ verify       suite orchestration and JSON reports
 cli          command-line front end
 
 All public functions are pure computations on immutable inputs; the only
-module-level state is write-once caches of constant tables (Levi-Civita
-symbol, wedge projector, fitted scale constants), so concurrent callers
-are safe and results never depend on call order.
+module-level state is ``functools.cache`` of constant tables (Levi-Civita
+symbol, 3-form index table, symplectic form, wedge projector, the fitted
+Fubini-Study scale), built on first use and returned as read-only arrays,
+so concurrent callers are safe and results never depend on call order.
 """
 
 from .expr import PrepotentialAst, eval_jet, parse_prepotential, pretty

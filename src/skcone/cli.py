@@ -20,7 +20,7 @@ from . import homogeneous as hom
 from . import projective as proj
 from . import verify as verify_mod
 from .errors import ParseError, SkconeError
-from .expr import check_homogeneity, max_or_nan, parse_prepotential, pretty
+from .expr import check_homogeneity, max_or_nan, max_var_index, parse_prepotential, pretty
 
 
 def _parse_complex(text: str) -> complex:
@@ -36,26 +36,8 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _infer_nvars(expr: str) -> int:
-    probe = parse_prepotential(expr, 4096)
-
-    def walk(node):
-        from .expr import Neg, Power, Product, Quotient, Sum, Var
-
-        if isinstance(node, Var):
-            return node.index
-        if isinstance(node, Neg):
-            return walk(node.arg)
-        if isinstance(node, Sum):
-            return max(walk(t) for t in node.terms)
-        if isinstance(node, Product):
-            return max(walk(f) for f in node.factors)
-        if isinstance(node, Quotient):
-            return max(walk(node.num), walk(node.den))
-        if isinstance(node, Power):
-            return walk(node.base)
-        return -1
-
-    return walk(probe.root) + 1
+    """One more than the highest variable index, from a parse over 4096 variables."""
+    return max_var_index(parse_prepotential(expr, 4096).root) + 1
 
 
 def _emit(obj) -> None:

@@ -15,24 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, InadmissiblePoint
-from .expr import PrepotentialAst, max_or_nan, parse_prepotential
+from .expr import PrepotentialAst, max_or_nan
 # invert_flat_coords is not used here; it stays in this module's namespace,
 # whose bindings perfbench/selftest.py checks.
 from .geometry import (  # noqa: F401
+    FIELD_STEP,
     DomainSample,
     FlatChart,
     canonical_symplectic,
+    chart_matrix_derivative,
     domain_sample,
     invert_flat_coords,
     kahler_potential,
 )
+from .projective import fs_prepotential
 
 # Global Hamiltonian sign, fixed once on the Fubini-Study case (see
 # fit_hamiltonian_sign) and asserted for every other input.
 HAMILTONIAN_SIGN = 1.0
 
-_FIELD_STEP = 1e-5   # first derivatives of fields along the chart
-_GAMMA_STEP = 1e-4   # derivatives of the pushforward of g (Christoffels)
 _OUTER_STEP = 3e-4   # outer derivative of quantities that are themselves FD
 
 
@@ -85,7 +86,7 @@ def project_to_sphere(ast: PrepotentialAst, z) -> SphereSample:
     xi = dom.xi
     E = -kappa * xi
     sigma = dom.J @ xi
-    eta = dom.omega.T @ xi
+    eta = dom.eta()
     g_ind = frame @ dom.g @ frame.T
     return SphereSample(u=u, kappa=kappa, frame=frame, E=E, sigma=sigma,
                         eta=eta, g_ind=g_ind, domain=dom)
@@ -99,74 +100,12 @@ def random_tangent(sphere: SphereSample, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chart machinery
-# ---------------------------------------------------------------------------
-
-
-class _Chart(FlatChart):
-    """Fields in flat components, and their chart derivatives, around a seed."""
-
-    def g_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        ji = np.linalg.inv(s.flat_jac)
-        return ji.T @ s.g @ ji
-
-    def sigma_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_jac @ (s.J @ s.xi)
-
-    def xi_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_jac @ s.xi
-
-    def level_tangent_flat(self, w, Y0) -> np.ndarray:
-        """Level-set projection of the constant vector Y0, in flat components."""
-        s = self.sample(w)
-        denom = float(s.dk @ s.xi)
-        if abs(denom) < 1e-10:
-            raise DegenerateMetric("dk(xi) = 2k vanished during tangent extension")
-        Yl = Y0 - (float(s.dk @ Y0) / denom) * s.xi
-        return s.flat_jac @ Yl
-
-    def dir_deriv(self, field, w, direction, step) -> np.ndarray:
-        """Central difference of a chart field along ``direction``."""
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            probe = np.asarray(field(w), dtype=float)
-            return np.zeros_like(probe)
-        unit = direction / norm
-        h = step * (1.0 + float(np.linalg.norm(w)))
-        hi = np.asarray(field(w + h * unit), dtype=float)
-        lo = np.asarray(field(w - h * unit), dtype=float)
-        return (hi - lo) / (2.0 * h) * norm
-
-    def christoffel(self, w, step=_GAMMA_STEP) -> np.ndarray:
-        """Gamma^c_{ab} of the cone metric in flat coordinates."""
-        n = w.size
-        h = step * (1.0 + float(np.linalg.norm(w)))
-        dg = np.zeros((n, n, n))
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            dg[a] = (self.g_flat(w + e) - self.g_flat(w - e)) / (2.0 * h)
-        g_inv = np.linalg.inv(self.g_flat(w))
-        # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
-        bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
-        return np.einsum("cd,dab->cab", 0.5 * g_inv, bracket)
-
-    def lc_deriv(self, field, w, direction, gamma, step=_FIELD_STEP) -> np.ndarray:
-        """Levi-Civita directional derivative of a flat-components field."""
-        partial = self.dir_deriv(field, w, direction, step)
-        return partial + np.einsum("cab,a,b->c", gamma, direction, field(w))
-
-
-# ---------------------------------------------------------------------------
 # Affine hypersphere checks
 # ---------------------------------------------------------------------------
 
 
 def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
-                step: float = _FIELD_STEP) -> GaussSplit:
+                step: float = FIELD_STEP) -> GaussSplit:
     """Split nabla_X Y along ker dk + span(E).
 
     Y is extended off S by level-set projection; its flat components are
@@ -174,7 +113,7 @@ def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
     coefficient should reproduce g(X, Y): that is the affine-sphere claim.
     """
     dom = sphere.domain
-    chart = _Chart(ast, dom.z)
+    chart = FlatChart(ast, dom.z)
     w0 = dom.flat
     Y0 = np.asarray(Y, dtype=float)
     X_flat = dom.flat_jac @ np.asarray(X, dtype=float)
@@ -188,41 +127,30 @@ def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
     return GaussSplit(tangential=tangential, normal_coeff=coeff)
 
 
-def shape_residual(ast: PrepotentialAst, sphere: SphereSample, X,
-                   step: float = _FIELD_STEP) -> float:
-    """|(-nabla_X E) - kappa X|: the shape tensor is kappa * Id."""
+def _shape_operator(chart: FlatChart, sphere: SphereSample, T,
+                    step: float = FIELD_STEP) -> np.ndarray:
+    """A(T) = -nabla_T E for the Blaschke normal E = -kappa * xi."""
     dom = sphere.domain
-    chart = _Chart(ast, dom.z)
     kappa = float(sphere.kappa)
+    D = chart.dir_deriv(lambda w: -kappa * chart.xi_flat(w), dom.flat, dom.flat_jac @ T, step)
+    return -np.linalg.solve(dom.flat_jac, D)
 
-    def e_flat(w):
-        s = chart.sample(w)
-        return s.flat_jac @ (-kappa * s.xi)
 
+def shape_residual(ast: PrepotentialAst, sphere: SphereSample, X,
+                   step: float = FIELD_STEP) -> float:
+    """|(-nabla_X E) - kappa X|: the shape tensor is kappa * Id."""
     X = np.asarray(X, dtype=float)
-    X_flat = dom.flat_jac @ X
-    D = chart.dir_deriv(e_flat, dom.flat, X_flat, step)
-    A_X = -np.linalg.solve(dom.flat_jac, D)
-    return float(np.linalg.norm(A_X - kappa * X))
+    A_X = _shape_operator(FlatChart(ast, sphere.domain.z), sphere, X, step)
+    return float(np.linalg.norm(A_X - float(sphere.kappa) * X))
 
 
 def mean_curvature_residual(ast: PrepotentialAst, sphere: SphereSample) -> float:
     """|trace(A)/(2n+1) - kappa| over the Euclidean-orthonormal frame."""
-    dom = sphere.domain
-    chart = _Chart(ast, dom.z)
-    kappa = float(sphere.kappa)
-
-    def e_flat(w):
-        s = chart.sample(w)
-        return s.flat_jac @ (-kappa * s.xi)
-
+    chart = FlatChart(ast, sphere.domain.z)
     trace = 0.0
     for T in sphere.frame:
-        D = chart.dir_deriv(e_flat, dom.flat, dom.flat_jac @ T, _FIELD_STEP)
-        A_T = -np.linalg.solve(dom.flat_jac, D)
-        trace += float(T @ A_T)
-    dim = sphere.frame.shape[0]
-    return abs(trace / dim - kappa)
+        trace += float(T @ _shape_operator(chart, sphere, T))
+    return abs(trace / sphere.frame.shape[0] - float(sphere.kappa))
 
 
 def blaschke_volume_residual(ast: PrepotentialAst, sphere: SphereSample) -> float:
@@ -234,9 +162,7 @@ def blaschke_volume_residual(ast: PrepotentialAst, sphere: SphereSample) -> floa
     dom = sphere.domain
     cols = [dom.flat_jac @ sphere.E] + [dom.flat_jac @ T for T in sphere.frame]
     det_flat = float(np.linalg.det(np.column_stack(cols)))
-    ji = np.linalg.inv(dom.flat_jac)
-    g_flat = ji.T @ dom.g @ ji
-    c_vol = float(np.sqrt(abs(np.linalg.det(g_flat))))
+    c_vol = float(np.sqrt(abs(np.linalg.det(dom.flat_form(dom.g)))))
     rhs = float(np.sqrt(abs(np.linalg.det(sphere.g_ind))))
     return abs(abs(det_flat) * c_vol - rhs)
 
@@ -268,7 +194,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
     contact    d eta = 2 omega on ker eta
     """
     dom = sphere.domain
-    chart = _Chart(ast, dom.z)
+    chart = FlatChart(ast, dom.z)
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
@@ -302,7 +228,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
 
         # Affine: flat derivative of sigma vs Levi-Civita derivative, both
         # projected tangentially (Phi = nabla-hat sigma).
-        nabla_s = np.linalg.solve(jac0, chart.dir_deriv(chart.sigma_flat, w0, Xf, _FIELD_STEP))
+        nabla_s = np.linalg.solve(jac0, chart.dir_deriv(chart.sigma_flat, w0, Xf, FIELD_STEP))
         lc_s = np.linalg.solve(jac0, DXs)
         affine = max_or_nan(affine, float(np.linalg.norm(_tangential(dom, nabla_s - lc_s))))
 
@@ -335,13 +261,8 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
         Yc = Y - (float(sphere.eta @ Y) / eta_sigma) * sphere.sigma
         Xcf = jac0 @ Xc
         Ycf = jac0 @ Yc
-
-        def eta_flat(w):
-            s = chart.sample(w)
-            return np.linalg.solve(s.flat_jac.T, s.omega.T @ s.xi)
-
-        d1 = chart.dir_deriv(lambda w: np.array([eta_flat(w) @ Ycf]), w0, Xcf, _FIELD_STEP)
-        d2 = chart.dir_deriv(lambda w: np.array([eta_flat(w) @ Xcf]), w0, Ycf, _FIELD_STEP)
+        d1 = chart.dir_deriv(lambda w: np.array([chart.eta_flat(w) @ Ycf]), w0, Xcf, FIELD_STEP)
+        d2 = chart.dir_deriv(lambda w: np.array([chart.eta_flat(w) @ Xcf]), w0, Ycf, FIELD_STEP)
         d_eta = float(d1[0] - d2[0])
         contact = max_or_nan(contact, abs(d_eta - 2.0 * dom.omega_form(Xc, Yc)))
 
@@ -352,6 +273,19 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
 # ---------------------------------------------------------------------------
 # Hamiltonian field and warped product
 # ---------------------------------------------------------------------------
+
+
+def _hamiltonian_field(sphere: SphereSample, potential=None) -> tuple:
+    """Flat components of the Hamiltonian field of ``potential`` and of 2k * sigma."""
+    dom = sphere.domain
+    if potential is None:
+        grad = 2.0 * dom.k * dom.dk
+    else:
+        # real-frame gradient of the potential, by central differences
+        h = 1e-6 * (1.0 + float(np.linalg.norm(dom.xi)))
+        grad = chart_matrix_derivative(potential, dom.xi, h)
+    X_flat = canonical_symplectic(dom.m) @ np.linalg.solve(dom.flat_jac.T, grad)
+    return X_flat, 2.0 * dom.k * (dom.flat_jac @ sphere.sigma)
 
 
 def hamiltonian_field_residual(ast: PrepotentialAst, sphere: SphereSample,
@@ -365,40 +299,19 @@ def hamiltonian_field_residual(ast: PrepotentialAst, sphere: SphereSample,
     metric branches.  ``potential`` defaults to k^2 with analytic gradient;
     a callable (real frame -> float) is differentiated numerically.
     """
-    dom = sphere.domain
-    m = dom.m
-    if potential is None:
-        grad = 2.0 * dom.k * dom.dk
-    else:
-        w_real = dom.xi
-        h = 1e-6 * (1.0 + float(np.linalg.norm(w_real)))
-        grad = np.zeros(2 * m)
-        for a in range(2 * m):
-            e = np.zeros(2 * m)
-            e[a] = h
-            grad[a] = (potential(w_real + e) - potential(w_real - e)) / (2.0 * h)
-    c_flat = np.linalg.solve(dom.flat_jac.T, grad)
-    omega_can = canonical_symplectic(m)
-    X_flat = omega_can @ c_flat
-    ref = 2.0 * dom.k * (dom.flat_jac @ sphere.sigma)
+    X_flat, ref = _hamiltonian_field(sphere, potential)
     return float(np.linalg.norm(X_flat - sign * ref))
 
 
 def fit_hamiltonian_sign(dim: int = 3) -> float:
     """Fit the global Hamiltonian sign on the Fubini-Study case."""
-    terms = " + ".join(f"z{j}^2" for j in range(dim))
-    ast = parse_prepotential(f"i*({terms})", dim)
     z = np.full(dim, 0.4 + 0.3j, dtype=complex)
-    sphere = project_to_sphere(ast, z)
-    dom = sphere.domain
-    grad = 2.0 * dom.k * dom.dk
-    X_flat = canonical_symplectic(dim) @ np.linalg.solve(dom.flat_jac.T, grad)
-    ref = 2.0 * dom.k * (dom.flat_jac @ sphere.sigma)
+    X_flat, ref = _hamiltonian_field(project_to_sphere(fs_prepotential(dim), z))
     return float(np.sign(X_flat @ ref))
 
 
 def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X, Y, step: float = _FIELD_STEP) -> tuple:
+                             r: float, X, Y, step: float = FIELD_STEP) -> tuple:
     """Radial (warped product) identities at the scaled point r*u.
 
     w1: nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the
@@ -409,7 +322,7 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
         raise ValueError("r must be positive")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    chart = _Chart(ast, r * sphere.u)
+    chart = FlatChart(ast, r * sphere.u)
     dom_p = chart.base
     wp = dom_p.flat
     Xt_flat = dom_p.flat_jac @ (r * X)

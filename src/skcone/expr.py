@@ -258,6 +258,26 @@ def parse_prepotential(text: str, n_vars: int) -> PrepotentialAst:
     return PrepotentialAst(root, n_vars)
 
 
+def max_var_index(node) -> int:
+    """Largest variable index in an expression tree, or -1 if it has no variable."""
+    best, stack = -1, [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            best = max(best, node.index)
+        elif isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, Power):
+            stack.append(node.base)
+        elif isinstance(node, Quotient):
+            stack += (node.num, node.den)
+        elif isinstance(node, Sum):
+            stack += node.terms
+        elif isinstance(node, Product):
+            stack += node.factors
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .expr import PrepotentialAst, eval_jet
 
 K_MIN_DEFAULT = 1e-8
 DET_RTOL = 1e-12
+FIELD_STEP = 1e-5   # first derivatives of fields along the chart
+GAMMA_STEP = 1e-4   # derivatives of the pushforward of g (Christoffels)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,11 @@ class DomainSample:
     def eta(self) -> np.ndarray:
         """Contact covector eta = omega(xi, .) in the real frame."""
         return self.omega.T @ self.xi
+
+    def flat_form(self, M) -> np.ndarray:
+        """Flat-chart components of the bilinear form with real-frame matrix M."""
+        ji = np.linalg.inv(self.flat_jac)
+        return ji.T @ M @ ji
 
 
 def _dk_z(tau, f1, z):
@@ -241,13 +248,30 @@ def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50
     return to_complex(_newton(ast, target, w0, None, max_steps)[0])
 
 
+def _central(field, w, dw, h) -> np.ndarray:
+    """The one first-order stencil: (field(w + dw) - field(w - dw)) / 2h."""
+    hi = np.asarray(field(w + dw), dtype=float)
+    lo = np.asarray(field(w - dw), dtype=float)
+    return (hi - lo) / (2.0 * h)
+
+
+def chart_matrix_derivative(field, w0, step: float) -> np.ndarray:
+    """Central differences of a (scalar, vector or matrix) field along every axis.
+
+    Returns D with D[a] = d(field)/dw_a at w0.
+    """
+    return np.stack([_central(field, w0, step * e, step) for e in np.eye(w0.size)])
+
+
 class FlatChart:
     """The flat chart around a seed point: every chart point Newton-inverted.
 
     The seed's order-2 jet is evaluated once and starts every inversion.
     Each chart point w is memoised by ``w.tobytes()`` as its converged z
     with Newton's last jet, and its :class:`DomainSample` is built from that
-    jet, so a chart point costs no jet beyond its Newton steps.
+    jet, so a chart point costs no jet beyond its Newton steps.  The chart
+    also carries the fields the checks differentiate, in flat components,
+    and their chart derivatives.
     """
 
     def __init__(self, ast: PrepotentialAst, seed_z):
@@ -279,6 +303,61 @@ class FlatChart:
             z, jet = self.point(w)
             hit = self._samples[key] = domain_sample(self.ast, z, jet=jet)
         return hit
+
+    def g_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return s.flat_form(s.g)
+
+    def omega_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return s.flat_form(s.omega)
+
+    def J_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return s.flat_jac @ s.J @ np.linalg.inv(s.flat_jac)
+
+    def eta_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return np.linalg.solve(s.flat_jac.T, s.eta())
+
+    def xi_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return s.flat_jac @ s.xi
+
+    def sigma_flat(self, w) -> np.ndarray:
+        s = self.sample(w)
+        return s.flat_jac @ (s.J @ s.xi)
+
+    def level_tangent_flat(self, w, Y0) -> np.ndarray:
+        """Level-set projection of the constant vector Y0, in flat components."""
+        s = self.sample(w)
+        denom = float(s.dk @ s.xi)
+        if abs(denom) < 1e-10:
+            raise DegenerateMetric("dk(xi) = 2k vanished during tangent extension")
+        Yl = Y0 - (float(s.dk @ Y0) / denom) * s.xi
+        return s.flat_jac @ Yl
+
+    def dir_deriv(self, field, w, direction, step) -> np.ndarray:
+        """Central difference of a chart field along ``direction``."""
+        norm = float(np.linalg.norm(direction))
+        if norm == 0.0:
+            return np.zeros_like(np.asarray(field(w), dtype=float))
+        h = step * (1.0 + float(np.linalg.norm(w)))
+        return _central(field, w, h * (direction / norm), h) * norm
+
+    def christoffel(self, w, step=GAMMA_STEP) -> np.ndarray:
+        """Gamma^c_{ab} of the cone metric in flat coordinates."""
+        h = step * (1.0 + float(np.linalg.norm(w)))
+        dg = chart_matrix_derivative(self.g_flat, w, h)
+        g_inv = np.linalg.inv(self.g_flat(w))
+        # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
+        bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
+        return np.einsum("cd,dab->cab", 0.5 * g_inv, bracket)
+
+    def lc_deriv(self, field, w, direction, gamma, step=FIELD_STEP) -> np.ndarray:
+        """Levi-Civita directional derivative of a flat-components field."""
+        partial = self.dir_deriv(field, w, direction, step)
+        return partial + np.einsum("cab,a,b->c", gamma, direction, field(w))
 
 
 def _k_real_hessian(sample: DomainSample, f3) -> np.ndarray:
@@ -353,11 +432,20 @@ class MongeAmpereReport:
 
 def monge_ampere_spread(ast: PrepotentialAst, samples) -> MongeAmpereReport:
     """|det| of the flat Hessian of k over samples, and its relative spread."""
+    return det_spread(lambda z: flat_hessian_of_k(ast, z), samples)
+
+
+def det_spread(hessian_of, points) -> MongeAmpereReport:
+    """|det hessian_of(p)| over points, and its relative spread.
+
+    Points whose Hessian is inadmissible, degenerate or singular are
+    skipped and reported by their index in ``points``.
+    """
     values = []
     skipped = []
-    for idx, z in enumerate(samples):
+    for idx, p in enumerate(points):
         try:
-            values.append(abs(float(np.linalg.det(flat_hessian_of_k(ast, z)))))
+            values.append(abs(float(np.linalg.det(hessian_of(p)))))
         except (InadmissiblePoint, DegenerateMetric, EvaluationSingularity):
             skipped.append(idx)
     if len(values) < 2:
@@ -395,24 +483,6 @@ def metric_scaling_residual(ast: PrepotentialAst, z, lam: float = 2.0) -> float:
     return float(np.max(np.abs(g1 - g0))) / scale
 
 
-def chart_matrix_derivative(field, w0, step: float) -> np.ndarray:
-    """Central differences of a matrix-valued chart field along every axis.
-
-    Returns D with D[a] = d(field)/dw_a at w0.
-    """
-    n = w0.size
-    out = None
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = step
-        hi = np.asarray(field(w0 + e), dtype=float)
-        lo = np.asarray(field(w0 - e), dtype=float)
-        if out is None:
-            out = np.zeros((n,) + hi.shape)
-        out[a] = (hi - lo) / (2.0 * step)
-    return out
-
-
 def antisymmetrized_chart_derivative(field, w0, step: float) -> float:
     """max over (a, b, c) of |d_a field[c, b] - d_b field[c, a]|.
 
@@ -429,25 +499,14 @@ def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
-
-    def J_flat(w):
-        s = chart.sample(w)
-        return s.flat_jac @ s.J @ np.linalg.inv(s.flat_jac)
-
-    return antisymmetrized_chart_derivative(J_flat, w0, h)
+    return antisymmetrized_chart_derivative(chart.J_flat, w0, h)
 
 
 def omega_parallel_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
-
-    def omega_flat(w):
-        s = chart.sample(w)
-        jac_inv = np.linalg.inv(s.flat_jac)
-        return jac_inv.T @ s.omega @ jac_inv
-
-    return float(np.max(np.abs(chart_matrix_derivative(omega_flat, w0, h))))
+    return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, h))))
 
 
 def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
@@ -458,15 +517,7 @@ def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
     omega and the position-field property of xi.
     """
     s0 = chart.base
-    w0 = s0.flat
-    h = step * (1.0 + float(np.linalg.norm(w0)))
-
-    def eta_flat(w):
-        s = chart.sample(w)
-        return np.linalg.solve(s.flat_jac.T, s.eta())
-
-    D = chart_matrix_derivative(eta_flat, w0, h)  # D[a, b] = d_a eta_b
+    h = step * (1.0 + float(np.linalg.norm(s0.flat)))
+    D = chart_matrix_derivative(chart.eta_flat, s0.flat, h)  # D[a, b] = d_a eta_b
     d_eta = D - D.T
-    jac_inv = np.linalg.inv(s0.flat_jac)
-    omega_flat = jac_inv.T @ s0.omega @ jac_inv
-    return float(np.max(np.abs(d_eta - 2.0 * omega_flat)))
+    return float(np.max(np.abs(d_eta - 2.0 * s0.flat_form(s0.omega))))

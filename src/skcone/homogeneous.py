@@ -15,6 +15,7 @@ never asserted, while invariance and quartic homogeneity are scale-free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,21 +44,31 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _levi_civita6() -> np.ndarray:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.cache
+def _eps6() -> np.ndarray:
+    """The Levi-Civita symbol in six indices."""
     eps = np.zeros((6,) * 6)
     for perm in itertools.permutations(range(6)):
         eps[perm] = _perm_sign(perm)
-    return eps
+    return _read_only(eps)
 
 
-_EPS6 = None
-
-
-def _eps6() -> np.ndarray:
-    global _EPS6
-    if _EPS6 is None:
-        _EPS6 = _levi_civita6()
-    return _EPS6
+@functools.cache
+def _form3_table() -> tuple:
+    """(slots, component, sign) of the 120 nonzero entries of a full 3-form array."""
+    slots, comp, sign = [], [], []
+    for col, base in enumerate(TRIPLES):
+        for perm in itertools.permutations(range(3)):
+            slots.append(tuple(base[p] for p in perm))
+            comp.append(col)
+            sign.append(_perm_sign(perm))
+    slots = tuple(_read_only(a) for a in np.array(slots).T)
+    return slots, _read_only(np.array(comp)), _read_only(np.array(sign))
 
 
 def form3_to_array(components) -> np.ndarray:
@@ -65,16 +76,10 @@ def form3_to_array(components) -> np.ndarray:
     components = np.asarray(components)
     if components.shape != (20,):
         raise ValueError(f"expected 20 components, got shape {components.shape}")
+    slots, comp, sign = _form3_table()
     full = np.zeros((6, 6, 6), dtype=components.dtype)
-    for value, (i, j, k) in zip(components, TRIPLES):
-        for perm in itertools.permutations((i, j, k)):
-            full[perm] = value * _perm_sign_of_triple(perm, (i, j, k))
+    full[slots] = components[comp] * sign
     return full
-
-
-def _perm_sign_of_triple(perm, base) -> int:
-    mapping = tuple(base.index(p) for p in perm)
-    return _perm_sign(mapping)
 
 
 def array_to_form3(full) -> np.ndarray:
@@ -122,30 +127,18 @@ def case_e6() -> QuarticCase:
     return QuarticCase("E6", 6, {})
 
 
-_OMEGA6 = None
-
-
-def _symplectic6() -> np.ndarray:
-    global _OMEGA6
-    if _OMEGA6 is None:
-        blocks = np.zeros((6, 6))
-        for i in range(3):
-            blocks[2 * i, 2 * i + 1] = 1.0
-            blocks[2 * i + 1, 2 * i] = -1.0
-        _OMEGA6 = blocks
-    return _OMEGA6
-
-
-def _omega6_form() -> np.ndarray:
+@functools.cache
+def _omega6() -> np.ndarray:
+    """The symplectic form sum_i e_{2i} ^ e_{2i+1} on R^6."""
     omega = np.zeros((6, 6))
     for i in range(3):
         omega[2 * i, 2 * i + 1] = 1.0
         omega[2 * i + 1, 2 * i] = -1.0
-    return omega
+    return _read_only(omega)
 
 
 def case_f() -> QuarticCase:
-    return QuarticCase("F", 6, {"omega": _omega6_form()})
+    return QuarticCase("F", 6, {"omega": _omega6()})
 
 
 def case_g() -> QuarticCase:
@@ -166,7 +159,7 @@ def e6_operator(alpha) -> np.ndarray:
 
 def _wedge_omega_map() -> np.ndarray:
     """6 x 20 matrix of beta -> omega ^ beta in the iota-volume identification."""
-    omega = _omega6_form()
+    omega = _omega6()
     eps = _eps6()
     L = np.zeros((6, 20))
     for col, (i, j, k) in enumerate(TRIPLES):
@@ -177,16 +170,11 @@ def _wedge_omega_map() -> np.ndarray:
     return L
 
 
-_WEDGE_L = None
-_WEDGE_PROJ = None
-
-
+@functools.cache
 def _wedge_data():
-    global _WEDGE_L, _WEDGE_PROJ
-    if _WEDGE_L is None:
-        _WEDGE_L = _wedge_omega_map()
-        _WEDGE_PROJ = np.eye(20) - np.linalg.pinv(_WEDGE_L) @ _WEDGE_L
-    return _WEDGE_L, _WEDGE_PROJ
+    """The map beta -> omega ^ beta and the projector onto its kernel."""
+    L = _wedge_omega_map()
+    return _read_only(L), _read_only(np.eye(20) - np.linalg.pinv(L) @ L)
 
 
 def f_case_project(beta) -> np.ndarray:
@@ -296,7 +284,7 @@ def random_generator(case: QuarticCase, rng) -> RepElement:
     if case.tag == "F":
         S = rng.standard_normal((6, 6))
         S = (S + S.T) / 2.0
-        return RepElement("F", _unit(_symplectic6() @ S))
+        return RepElement("F", _unit(_omega6() @ S))
     if case.tag == "G":
         L = rng.standard_normal((2, 2))
         L -= (np.trace(L) / 2.0) * np.eye(2)
@@ -317,7 +305,7 @@ def membership_residual(case: QuarticCase, gen: RepElement) -> float:
     if case.tag == "E6":
         return abs(np.trace(gen.data))
     if case.tag == "F":
-        Om = _symplectic6()
+        Om = _omega6()
         X = gen.data
         return float(np.linalg.norm(X.T @ Om + Om @ X))
     if case.tag == "G":

@@ -11,7 +11,7 @@ descend to the orbit space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -20,15 +20,6 @@ from .expr import PrepotentialAst, max_or_nan, parse_prepotential
 from .geometry import DomainSample, domain_sample, to_complex, to_real
 
 _LEVEL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ProjectiveSample:
-    """Horizontal component of a direction and the quotient metric value."""
-
-    u: np.ndarray
-    X_h: np.ndarray
-    gbar_val: float
 
 
 def _horizontal(dom: DomainSample, X) -> np.ndarray:
@@ -45,18 +36,6 @@ def _horizontal(dom: DomainSample, X) -> np.ndarray:
 def horizontal_project(ast: PrepotentialAst, u, X) -> np.ndarray:
     """Component of X with h(xi, X) = 0 (the horizontal distribution)."""
     return _horizontal(domain_sample(ast, u), X)
-
-
-def projective_sample(ast: PrepotentialAst, u, X) -> ProjectiveSample:
-    """Bundle the horizontal projection of X with its quotient metric value.
-
-    The metric value is insensitive to the vertical component of X, so it
-    is the same whether evaluated on X or on X_h.
-    """
-    dom = domain_sample(ast, u)
-    Xh = _horizontal(dom, X)
-    return ProjectiveSample(u=np.asarray(u, dtype=complex), X_h=Xh,
-                            gbar_val=_gbar(dom, Xh, Xh))
 
 
 def _gbar(dom: DomainSample, X, Y) -> float:
@@ -77,12 +56,6 @@ def projective_metric_values(dom: DomainSample, vectors) -> list:
         X = np.asarray(X, dtype=float)
         out.append(_gbar(dom, X, X))
     return out
-
-
-def projective_metric_bilinear(ast: PrepotentialAst, u, X, Y) -> float:
-    """Polarized form of :func:`projective_metric`."""
-    dom = domain_sample(ast, u)
-    return _gbar(dom, np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
 
 
 def submersion_residual(ast: PrepotentialAst, u, X) -> float:
@@ -145,9 +118,6 @@ def horizontal_gram_determinant(ast: PrepotentialAst, u, frame) -> float:
 # Fubini-Study comparison
 # ---------------------------------------------------------------------------
 
-_FS_CONSTANT = None
-
-
 def _fs_closed_form(u, X) -> float:
     u = np.asarray(u, dtype=complex)
     zx = to_complex(np.asarray(X, dtype=float))
@@ -156,36 +126,35 @@ def _fs_closed_form(u, X) -> float:
     return float(np.real(np.vdot(zx, zx))) / nu2 - abs(inner) ** 2 / nu2**2
 
 
-def _fs_ast(dim: int) -> PrepotentialAst:
+def fs_prepotential(dim: int) -> PrepotentialAst:
+    """The quadratic prepotential i * (z0^2 + ... + z_{dim-1}^2) of the Fubini-Study case."""
     terms = " + ".join(f"z{j}^2" for j in range(dim))
     return parse_prepotential(f"i*({terms})", dim)
 
 
+@functools.cache
 def fs_fitted_constant() -> float:
     """Scale between gbar for F = i sum z^2 and the closed Fubini-Study form.
 
     Fitted once on a fixed probe set and cached; reported in suite output.
     """
-    global _FS_CONSTANT
-    if _FS_CONSTANT is None:
-        ast = _fs_ast(3)
-        rng = np.random.default_rng(2024)
-        num = 0.0
-        den = 0.0
-        for _ in range(8):
-            u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            X = rng.standard_normal(6)
-            ours = projective_metric(ast, u, X)
-            closed = _fs_closed_form(u, X)
-            num += ours * closed
-            den += closed * closed
-        _FS_CONSTANT = num / den
-    return _FS_CONSTANT
+    ast = fs_prepotential(3)
+    rng = np.random.default_rng(2024)
+    num = 0.0
+    den = 0.0
+    for _ in range(8):
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        X = rng.standard_normal(6)
+        ours = projective_metric(ast, u, X)
+        closed = _fs_closed_form(u, X)
+        num += ours * closed
+        den += closed * closed
+    return num / den
 
 
 def fubini_study_compare(u, X) -> float:
     """Residual between gbar of the quadratic prepotential and closed-form FS."""
     u = np.asarray(u, dtype=complex)
-    ast = _fs_ast(u.size)
+    ast = fs_prepotential(u.size)
     ours = projective_metric(ast, u, X)
     return abs(ours - fs_fitted_constant() * _fs_closed_form(u, X))

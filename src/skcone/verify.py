@@ -26,7 +26,6 @@ from .errors import (
     DegenerateMetric,
     EvaluationSingularity,
     InadmissiblePoint,
-    NoConvergence,
     SkconeError,
 )
 from .expr import check_homogeneity, jet_fd_residual, max_or_nan, parse_prepotential
@@ -187,6 +186,7 @@ class _Context:
         self._sasaki: dict = {}
         self._charts: dict = {}
         self._lemma1: dict = {}
+        self._hessians: dict = {}
 
     def rng(self, salt: int, idx: int = 0):
         return np.random.default_rng([self.config.seed, salt, idx])
@@ -196,6 +196,18 @@ class _Context:
         if idx not in self._charts:
             self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
         return self._charts[idx]
+
+    def flat_hessian(self, idx: int):
+        """flat_hessian_of_k at sample idx, computed once; a failure re-raises to every caller."""
+        if idx not in self._hessians:
+            try:
+                self._hessians[idx] = geo.flat_hessian_of_k(self.ast, self.samples[idx])
+            except _CHECK_ERRORS as exc:
+                self._hessians[idx] = exc
+        hit = self._hessians[idx]
+        if isinstance(hit, Exception):
+            raise hit
+        return hit
 
     def lemma1(self, idx: int):
         """Lemma 1 residuals at sample idx, relative to 1 + |k|."""
@@ -253,15 +265,14 @@ def _chk_ad_fd(ctx, idx, z):
 
 
 def _chk_npotential(ctx, idx, z):
-    s = geo.domain_sample(ctx.ast, z)
-    H = geo.flat_hessian_of_k(ctx.ast, z)
-    ji = np.linalg.inv(s.flat_jac)
-    push = ji.T @ s.g @ ji
+    s = ctx.chart(idx).base
+    H = ctx.flat_hessian(idx)
+    push = s.flat_form(s.g)
     return float(np.max(np.abs(H - push))) / max(1.0, float(np.max(np.abs(push))))
 
 
 def _chk_hessian_oracle(ctx, idx, z):
-    H = geo.flat_hessian_of_k(ctx.ast, z)
+    H = ctx.flat_hessian(idx)
     Hfd = geo.flat_hessian_fd(ctx.ast, z)
     return float(np.max(np.abs(H - Hfd))) / max(1.0, float(np.max(np.abs(H))))
 
@@ -369,7 +380,7 @@ def _chk_fs_closed_form(ctx, idx, z):
 
 
 def _agg_ma_spread(ctx):
-    rep = geo.monge_ampere_spread(ctx.ast, ctx.samples)
+    rep = geo.det_spread(ctx.flat_hessian, range(len(ctx.samples)))
     if rep.values:
         ctx.fitted["monge_ampere_constant"] = float(np.mean(rep.values))
     return {"samples": len(ctx.samples), "skipped": list(rep.skipped)}, rep.rel_spread
@@ -458,67 +469,69 @@ def _if_case_a(ctx):
     return ctx.signature is not None and ctx.config.n_vars >= 2
 
 
-# id -> (kind, tolerance spec, runner, applicability, sample cap)
+@dataclass(frozen=True)
+class _Check:
+    """A registry entry: what the check runs on, its tolerance and its runner."""
+
+    kind: str          # "domain" or "sphere" (per sample), "aggregate" or "global"
+    tolerance: object  # a ToleranceProfile field name, or a pinned value
+    runner: object
+    applicable: object = _always
+    cap: int | None = None  # per-sample checks run on at most this many samples
+
+
 _REGISTRY = {
-    "expr.homogeneity.scale": ("domain", "analytic", _chk_homog_scale, _always, None),
-    "expr.homogeneity.euler": ("domain", "analytic", _chk_homog_euler, _always, None),
-    "expr.ad_vs_fd": ("domain", 1e-6, _chk_ad_fd, _always, 50),
-    "lemma1.h_xi_dbar_k": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r1"], _always, None),
-    "lemma1.g_xi_dk": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"], _always, None),
-    "lemma1.g_xi_xi": ("domain", "analytic", lambda c, i, z: c.lemma1(i)["r3"], _always, None),
-    "cor.npotential.flat_hessian": ("domain", 1e-8, _chk_npotential, _always, None),
-    "oracle.flat_hessian_fd": ("domain", 1e-5, _chk_hessian_oracle, _always, 50),
-    "prop.xi.flat_position": ("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.ast, z), _always, None),
-    "cone.metric_scaling": ("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.ast, z), _always, None),
-    "flat.omega_parallel": ("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i)), _always, None),
-    "eq.special.dnabla_j": ("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i)), _always, None),
-    "contact.d_eta": ("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i)), _always, None),
-    "eq.ma.spread": ("aggregate", 1e-6, _agg_ma_spread, _always, None),
-    "sphere.on_level": ("sphere", 1e-10, _chk_sphere_level, _if_spheres, None),
-    "sphere.frame_tangency": ("sphere", 1e-10, _chk_frame_tangency, _if_spheres, None),
-    "sphere.sigma_length": ("sphere", 1e-8, _chk_sigma_length, _if_spheres, None),
-    "thm.affinesphere.gauss": ("sphere", "chart_fd", _chk_gauss, _if_spheres, None),
-    "thm.affinesphere.shape": ("sphere", 1e-6, _chk_shape, _if_spheres, None),
-    "thm.affinesphere.mean_curvature": ("sphere", 1e-6, _chk_mean_curvature, _if_spheres, None),
-    "thm.affinesphere.volume": ("sphere", 1e-5, _chk_volume, _if_spheres, None),
-    "sasaki.killing": ("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres, None),
-    "sasaki.structure": ("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres, None),
-    "prop.asc.affine_sasaki": ("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres, None),
-    "sasaki.contact": ("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres, None),
-    "remark2.hamiltonian": ("sphere", 1e-5, _chk_hamiltonian, _if_spheres, None),
-    "eq.wpr.radial": ("sphere", 1e-6, _chk_warped_radial, _if_spheres, None),
-    "eq.wpr.position": ("sphere", 1e-6, _chk_warped_position, _if_spheres, None),
-    "prop.hyperspheres.submersion": ("sphere", 1e-5, _chk_submersion, _if_spheres, None),
-    "eq.pkm.vertical": ("sphere", 1e-10, _chk_pkm_vertical, _if_spheres, None),
-    "eq.pkm.pullback": ("sphere", 1e-8, _chk_pkm_pullback, _if_spheres, None),
-    "eq.pkm.scale_invariance": ("sphere", 1e-9, _chk_pkm_scale, _if_spheres, None),
-    "eq.pkm.horizontal_gram": ("sphere", 1.0, _chk_pkm_gram, _if_spheres, None),
-    "fs.closed_form": ("sphere", 1e-10, _chk_fs_closed_form, _if_fs, None),
-    "sec5.remark2.q_ratio": ("aggregate", 1e-10, _agg_q_ratio, _if_case_a, None),
-    "sec5.remark2.sigma_xq": ("aggregate", 1e-6, _agg_sigma_xq, _if_case_a, None),
-    "sec5.A.invariance": ("global", "invariance", _sec5_invariance("A"), _always, None),
-    "sec5.BD.invariance": ("global", "invariance", _sec5_invariance("BD"), _always, None),
-    "sec5.E6.invariance": ("global", "invariance", _sec5_invariance("E6"), _always, None),
-    "sec5.F.invariance": ("global", "invariance", _sec5_invariance("F"), _always, None),
-    "sec5.G.invariance": ("global", "invariance", _sec5_invariance("G"), _always, None),
-    "sec5.A.homogeneity": ("global", 1e-12, _sec5_homogeneity("A"), _always, None),
-    "sec5.BD.homogeneity": ("global", 1e-12, _sec5_homogeneity("BD"), _always, None),
-    "sec5.E6.homogeneity": ("global", 1e-12, _sec5_homogeneity("E6"), _always, None),
-    "sec5.F.homogeneity": ("global", 1e-12, _sec5_homogeneity("F"), _always, None),
-    "sec5.G.homogeneity": ("global", 1e-12, _sec5_homogeneity("G"), _always, None),
+    "expr.homogeneity.scale": _Check("domain", "analytic", _chk_homog_scale),
+    "expr.homogeneity.euler": _Check("domain", "analytic", _chk_homog_euler),
+    "expr.ad_vs_fd": _Check("domain", 1e-6, _chk_ad_fd, cap=50),
+    "lemma1.h_xi_dbar_k": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r1"]),
+    "lemma1.g_xi_dk": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"]),
+    "lemma1.g_xi_xi": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r3"]),
+    "cor.npotential.flat_hessian": _Check("domain", 1e-8, _chk_npotential),
+    "oracle.flat_hessian_fd": _Check("domain", 1e-5, _chk_hessian_oracle, cap=50),
+    "prop.xi.flat_position": _Check("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.ast, z)),
+    "cone.metric_scaling": _Check("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.ast, z)),
+    "flat.omega_parallel": _Check("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i))),
+    "eq.special.dnabla_j": _Check("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i))),
+    "contact.d_eta": _Check("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i))),
+    "eq.ma.spread": _Check("aggregate", 1e-6, _agg_ma_spread),
+    "sphere.on_level": _Check("sphere", 1e-10, _chk_sphere_level, _if_spheres),
+    "sphere.frame_tangency": _Check("sphere", 1e-10, _chk_frame_tangency, _if_spheres),
+    "sphere.sigma_length": _Check("sphere", 1e-8, _chk_sigma_length, _if_spheres),
+    "thm.affinesphere.gauss": _Check("sphere", "chart_fd", _chk_gauss, _if_spheres),
+    "thm.affinesphere.shape": _Check("sphere", 1e-6, _chk_shape, _if_spheres),
+    "thm.affinesphere.mean_curvature": _Check("sphere", 1e-6, _chk_mean_curvature, _if_spheres),
+    "thm.affinesphere.volume": _Check("sphere", 1e-5, _chk_volume, _if_spheres),
+    "sasaki.killing": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres),
+    "sasaki.structure": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres),
+    "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres),
+    "sasaki.contact": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres),
+    "remark2.hamiltonian": _Check("sphere", 1e-5, _chk_hamiltonian, _if_spheres),
+    "eq.wpr.radial": _Check("sphere", 1e-6, _chk_warped_radial, _if_spheres),
+    "eq.wpr.position": _Check("sphere", 1e-6, _chk_warped_position, _if_spheres),
+    "prop.hyperspheres.submersion": _Check("sphere", 1e-5, _chk_submersion, _if_spheres),
+    "eq.pkm.vertical": _Check("sphere", 1e-10, _chk_pkm_vertical, _if_spheres),
+    "eq.pkm.pullback": _Check("sphere", 1e-8, _chk_pkm_pullback, _if_spheres),
+    "eq.pkm.scale_invariance": _Check("sphere", 1e-9, _chk_pkm_scale, _if_spheres),
+    "eq.pkm.horizontal_gram": _Check("sphere", 1.0, _chk_pkm_gram, _if_spheres),
+    "fs.closed_form": _Check("sphere", 1e-10, _chk_fs_closed_form, _if_fs),
+    "sec5.remark2.q_ratio": _Check("aggregate", 1e-10, _agg_q_ratio, _if_case_a),
+    "sec5.remark2.sigma_xq": _Check("aggregate", 1e-6, _agg_sigma_xq, _if_case_a),
+    "sec5.A.invariance": _Check("global", "invariance", _sec5_invariance("A")),
+    "sec5.BD.invariance": _Check("global", "invariance", _sec5_invariance("BD")),
+    "sec5.E6.invariance": _Check("global", "invariance", _sec5_invariance("E6")),
+    "sec5.F.invariance": _Check("global", "invariance", _sec5_invariance("F")),
+    "sec5.G.invariance": _Check("global", "invariance", _sec5_invariance("G")),
+    "sec5.A.homogeneity": _Check("global", 1e-12, _sec5_homogeneity("A")),
+    "sec5.BD.homogeneity": _Check("global", 1e-12, _sec5_homogeneity("BD")),
+    "sec5.E6.homogeneity": _Check("global", 1e-12, _sec5_homogeneity("E6")),
+    "sec5.F.homogeneity": _Check("global", 1e-12, _sec5_homogeneity("F")),
+    "sec5.G.homogeneity": _Check("global", 1e-12, _sec5_homogeneity("G")),
 }
 
 CHECK_IDS = tuple(sorted(_REGISTRY))
 
-_CHECK_ERRORS = (
-    SkconeError,
-    NoConvergence,
-    DegenerateMetric,
-    InadmissiblePoint,
-    EvaluationSingularity,
-    ValueError,
-    np.linalg.LinAlgError,
-)
+_CHECK_ERRORS = (SkconeError, ValueError, np.linalg.LinAlgError)
 
 
 def _tolerance_of(spec, profile: ToleranceProfile) -> float:
@@ -566,27 +579,27 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     results = []
     for cid in selected:
-        kind, tol_spec, runner, applicable, cap = _REGISTRY[cid]
-        tol = _tolerance_of(tol_spec, profile)
-        if not applicable(ctx):
+        check = _REGISTRY[cid]
+        tol = _tolerance_of(check.tolerance, profile)
+        if not check.applicable(ctx):
             if explicit:
                 results.append(CheckResult(cid, {"error": "check not applicable to this configuration"},
                                            None, tol, False))
             continue
-        if kind in ("domain", "sphere"):
-            count = len(ctx.samples) if cap is None else min(cap, len(ctx.samples))
+        if check.kind in ("domain", "sphere"):
+            count = len(ctx.samples) if check.cap is None else min(check.cap, len(ctx.samples))
             for idx in range(count):
                 z = ctx.samples[idx]
                 info = _point_info(idx, z)
                 try:
-                    residual = float(runner(ctx, idx, z))
+                    residual = float(check.runner(ctx, idx, z))
                     results.append(CheckResult(cid, info, residual, tol, residual <= tol))
                 except _CHECK_ERRORS as exc:
                     info["error"] = f"{type(exc).__name__}: {exc}"
                     results.append(CheckResult(cid, info, None, tol, False))
         else:
             try:
-                info, residual = runner(ctx)
+                info, residual = check.runner(ctx)
                 residual = float(residual)
                 results.append(CheckResult(cid, info, residual, tol, residual <= tol))
             except _CHECK_ERRORS as exc:

@@ -6,7 +6,7 @@ import pytest
 from skcone import geometry as geo
 from skcone import projective as proj
 from skcone.cli import main
-from skcone.expr import parse_prepotential
+from skcone.expr import max_var_index, parse_prepotential
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +27,29 @@ def test_parse_echoes_ast(capsys):
     assert doc["expr"] == "i*(z0^2 + z1^2)"
     assert doc["n_vars"] == 2
     assert doc["homogeneity"]["euler_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("text, top", [
+    ("z{12}*z1/z0", 12),
+    ("z1/(z0 + z{12})", 12),
+    ("-(z3^2)/z0", 3),
+    ("i*2", -1),
+])
+def test_max_var_index(text, top):
+    assert max_var_index(parse_prepotential(text, 4096).root) == top
+
+
+def test_parse_infers_nvars_from_the_highest_index(capsys):
+    code, out, _ = run_cli(capsys, "parse", "--expr", "z1*z2/z{12}")
+    assert code == 0
+    assert json.loads(out)["n_vars"] == 13
+
+
+def test_parse_variable_free_expression_exit_2(capsys):
+    code, out, err = run_cli(capsys, "parse", "--expr", "i*2")
+    assert code == 2
+    assert out == ""
+    assert "n_vars must be >= 1" in err
 
 
 def test_parse_syntax_error_exit_2(capsys):

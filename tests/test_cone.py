@@ -216,7 +216,7 @@ def test_sasaki_residuals_keep_nan_from_a_later_pair(stu, stu_spheres, rng, monk
 
         return wrapped
 
-    monkeypatch.setattr(cone._Chart, "sigma_flat", poisoned("sigma", cone._Chart.sigma_flat))
+    monkeypatch.setattr(geo.FlatChart, "sigma_flat", poisoned("sigma", geo.FlatChart.sigma_flat))
     monkeypatch.setattr(geo.DomainSample, "omega_form", poisoned("omega", geo.DomainSample.omega_form))
     cone.sasaki_residuals(stu, sp, pairs[:1])
     first_pair.update(calls)

@@ -73,12 +73,18 @@ def _perm_sign(seq):
     return sign
 
 
-def _e6_operator_bruteforce(alpha20):
-    """Exhaustive contraction with explicit permutation loops (no einsum)."""
-    full = np.zeros((6, 6, 6), dtype=complex)
+def _form3_bruteforce(alpha20):
+    """Full antisymmetric 3-form array, one signed permutation at a time."""
+    full = np.zeros((6, 6, 6), dtype=alpha20.dtype)
     for value, (i, j, k) in zip(alpha20, hom.TRIPLES):
         for perm in itertools.permutations((i, j, k)):
             full[perm] = value * _perm_sign([(i, j, k).index(p) for p in perm])
+    return full
+
+
+def _e6_operator_bruteforce(alpha20):
+    """Exhaustive contraction with explicit permutation loops (no einsum)."""
+    full = _form3_bruteforce(np.asarray(alpha20, dtype=complex))
     op = np.zeros((6, 6), dtype=complex)
     for m in range(6):
         for i in range(6):
@@ -88,6 +94,17 @@ def _e6_operator_bruteforce(alpha20):
                 total += full[j, k, l] * full[i, p, q] * _perm_sign((m,) + rest)
             op[m, i] = total / 12.0
     return op
+
+
+def test_form3_to_array_matches_the_permutation_loop(rng):
+    for alpha in (rng.standard_normal(20), rng.standard_normal(20) + 1j * rng.standard_normal(20)):
+        assert hom.form3_to_array(alpha).tobytes() == _form3_bruteforce(alpha).tobytes()
+
+
+def test_cached_tables_are_read_only():
+    L, P = hom._wedge_data()
+    for table in (hom._eps6(), L, P, hom.case_f().structure["omega"], *hom._form3_table()[1:]):
+        assert not table.flags.writeable
 
 
 def test_e6_operator_matches_bruteforce(rng):

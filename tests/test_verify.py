@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import skcone.verify as verify
 from skcone import cone
-from skcone.errors import AdmissibleRegionTooSmall, InadmissiblePoint
+from skcone import geometry as geo
+from skcone.errors import AdmissibleRegionTooSmall, DegenerateMetric, InadmissiblePoint
 
 
 FS_CONFIG = verify.SuiteConfig(
@@ -273,9 +275,49 @@ def test_nan_in_a_later_sec5_pair_fails_the_check(monkeypatch):
 
 
 def test_summary_max_residual_keeps_a_later_nan(monkeypatch):
-    kind, tol, _, applicable, cap = verify._REGISTRY["lemma1.g_xi_xi"]
     runner = lambda ctx, idx, z: float("nan") if idx == 1 else 0.0  # noqa: E731
-    monkeypatch.setitem(verify._REGISTRY, "lemma1.g_xi_xi", (kind, tol, runner, applicable, cap))
+    check = dataclasses.replace(verify._REGISTRY["lemma1.g_xi_xi"], runner=runner)
+    monkeypatch.setitem(verify._REGISTRY, "lemma1.g_xi_xi", check)
     report = verify.run_suite(small_config(sample_count=3, checks=("lemma1.g_xi_xi",)))
     assert np.isnan(report.summary["max_residual"]["lemma1.g_xi_xi"])
     assert not report.all_pass
+
+
+# ---------------------------------------------------------------------------
+# shared flat Hessian of k
+# ---------------------------------------------------------------------------
+
+_HESSIAN_CHECKS = ("cor.npotential.flat_hessian", "oracle.flat_hessian_fd", "eq.ma.spread")
+
+
+def _counting_hessian(monkeypatch, fail_at=None):
+    """Count flat_hessian_of_k calls; the call at point ``fail_at`` raises."""
+    calls = []
+    real = geo.flat_hessian_of_k
+
+    def counting(ast, z):
+        calls.append(np.asarray(z).tobytes())
+        if fail_at is not None and np.array_equal(z, fail_at):
+            raise DegenerateMetric("injected singular Hessian")
+        return real(ast, z)
+
+    monkeypatch.setattr(geo, "flat_hessian_of_k", counting)
+    return calls
+
+
+def test_flat_hessian_of_k_runs_once_per_sample(monkeypatch):
+    calls = _counting_hessian(monkeypatch)
+    report = verify.run_suite(small_config(sample_count=2, checks=_HESSIAN_CHECKS))
+    assert len(calls) == 2 and len(set(calls)) == 2
+    assert len(report.checks) == 5 and report.all_pass
+
+
+def test_a_failed_flat_hessian_fails_every_check_alike(monkeypatch):
+    z1 = verify.sample_points(small_config(sample_count=2))[1]
+    calls = _counting_hessian(monkeypatch, fail_at=z1)
+    report = verify.run_suite(small_config(sample_count=2, checks=_HESSIAN_CHECKS))
+    assert len(calls) == 2
+    failed = {r.id: r.point["error"] for r in report.checks if r.point.get("sample") == 1}
+    assert failed == {cid: "DegenerateMetric: injected singular Hessian" for cid in _HESSIAN_CHECKS[:2]}
+    (spread,) = (r for r in report.checks if r.id == "eq.ma.spread")
+    assert spread.point["skipped"] == [1]
