@@ -28,20 +28,8 @@ TRIPLES = tuple(itertools.combinations(range(6), 3))  # index order of 3-forms
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a sequence of distinct numbers, by the parity of its inversions."""
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -49,37 +37,56 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.cache
-def _eps6() -> np.ndarray:
-    """The Levi-Civita symbol in six indices."""
-    eps = np.zeros((6,) * 6)
-    for perm in itertools.permutations(range(6)):
-        eps[perm] = _perm_sign(perm)
-    return _read_only(eps)
+def _index_table(entries) -> tuple:
+    """Read-only (slots, component, sign) arrays from (slot, component, sign) entries."""
+    slots, comp, sign = zip(*entries)
+    slots = tuple(_read_only(a) for a in np.array(slots).T)
+    return slots, _read_only(np.array(comp)), _read_only(np.array(sign))
+
+
+def _scatter(table, components) -> np.ndarray:
+    """The 6 x 6 x 6 array holding sign * components[component] at each slot."""
+    components = np.asarray(components)
+    if components.shape != (20,):
+        raise ValueError(f"expected 20 components, got shape {components.shape}")
+    slots, comp, sign = table
+    out = np.zeros((6, 6, 6), dtype=components.dtype)
+    out[slots] = components[comp] * sign
+    return out
 
 
 @functools.cache
 def _form3_table() -> tuple:
     """(slots, component, sign) of the 120 nonzero entries of a full 3-form array."""
-    slots, comp, sign = [], [], []
-    for col, base in enumerate(TRIPLES):
-        for perm in itertools.permutations(range(3)):
-            slots.append(tuple(base[p] for p in perm))
-            comp.append(col)
-            sign.append(_perm_sign(perm))
-    slots = tuple(_read_only(a) for a in np.array(slots).T)
-    return slots, _read_only(np.array(comp)), _read_only(np.array(sign))
+    return _index_table(
+        (tuple(base[p] for p in perm), col, _perm_sign(perm))
+        for col, base in enumerate(TRIPLES)
+        for perm in itertools.permutations(range(3))
+    )
+
+
+@functools.cache
+def _star_table() -> tuple:
+    """(slots, component, sign) of the 120 terms of the Hodge star with one slot lowered.
+
+    For distinct (m, p, q) with sorted complement C,
+    sum_{jkl} eps_{mjklpq} alpha_{jkl} = 6 eps(m, C, p, q) alpha_C.
+    """
+    entries = []
+    for m, p, q in itertools.permutations(range(6), 3):
+        rest = tuple(x for x in range(6) if x not in (m, p, q))
+        entries.append(((m, p, q), TRIPLES.index(rest), _perm_sign((m, *rest, p, q))))
+    return _index_table(entries)
+
+
+def _star(alpha20) -> np.ndarray:
+    """S[m, (p, q)] = (1/6) sum_{jkl} eps_{mjklpq} alpha_{jkl}, a 6 x 36 matrix."""
+    return _scatter(_star_table(), alpha20).reshape(6, 36)
 
 
 def form3_to_array(components) -> np.ndarray:
     """Expand 20 lexicographic 3-form components to a full antisymmetric array."""
-    components = np.asarray(components)
-    if components.shape != (20,):
-        raise ValueError(f"expected 20 components, got shape {components.shape}")
-    slots, comp, sign = _form3_table()
-    full = np.zeros((6, 6, 6), dtype=components.dtype)
-    full[slots] = components[comp] * sign
-    return full
+    return _scatter(_form3_table(), components)
 
 
 def array_to_form3(full) -> np.ndarray:
@@ -152,22 +159,14 @@ def case_g() -> QuarticCase:
 
 def e6_operator(alpha) -> np.ndarray:
     """Matrix of v -> alpha ^ (iota_v alpha) under the fixed volume element."""
-    full = form3_to_array(np.asarray(alpha, dtype=complex))
-    # A[m, i] = (1/12) alpha_{jkl} alpha_{ipq} eps_{m j k l p q}
-    return np.einsum("jkl,ipq,mjklpq->mi", full, full, _eps6()) / 12.0
+    alpha = np.asarray(alpha, dtype=complex)
+    # A[m, i] = (1/12) alpha_{jkl} alpha_{ipq} eps_{mjklpq} = (1/2) S[m, pq] alpha_{ipq}
+    return _star(alpha) @ form3_to_array(alpha).reshape(6, 36).T / 2.0
 
 
 def _wedge_omega_map() -> np.ndarray:
     """6 x 20 matrix of beta -> omega ^ beta in the iota-volume identification."""
-    omega = _omega6()
-    eps = _eps6()
-    L = np.zeros((6, 20))
-    for col, (i, j, k) in enumerate(TRIPLES):
-        beta = np.zeros(20)
-        beta[col] = 1.0
-        full = form3_to_array(beta)
-        L[:, col] = np.einsum("pq,jkl,mpqjkl->m", omega, full, eps) / 12.0
-    return L
+    return np.stack([_star(beta) @ _omega6().ravel() for beta in np.eye(20)], axis=1) / 2.0
 
 
 @functools.cache

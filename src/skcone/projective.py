@@ -126,8 +126,9 @@ def _fs_closed_form(u, X) -> float:
     return float(np.real(np.vdot(zx, zx))) / nu2 - abs(inner) ** 2 / nu2**2
 
 
+@functools.cache
 def fs_prepotential(dim: int) -> PrepotentialAst:
-    """The quadratic prepotential i * (z0^2 + ... + z_{dim-1}^2) of the Fubini-Study case."""
+    """The Fubini-Study prepotential i * (z0^2 + ... + z_{dim-1}^2), parsed once per dim."""
     terms = " + ".join(f"z{j}^2" for j in range(dim))
     return parse_prepotential(f"i*({terms})", dim)
 

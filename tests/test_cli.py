@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +252,15 @@ def test_shipped_configs_load():
 
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_import_builds_no_cached_table():
+    """Constant tables are built on first use, so importing the CLI stays cheap."""
+    code = (
+        "import skcone.cli, skcone.homogeneous as h, skcone.projective as p; "
+        "tables = (h._form3_table, h._star_table, h._wedge_data, p.fs_prepotential); "
+        "assert [t.cache_info().currsize for t in tables] == [0, 0, 0, 0]"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -103,13 +103,53 @@ def test_form3_to_array_matches_the_permutation_loop(rng):
 
 def test_cached_tables_are_read_only():
     L, P = hom._wedge_data()
-    for table in (hom._eps6(), L, P, hom.case_f().structure["omega"], *hom._form3_table()[1:]):
+    star_slots, *star_rest = hom._star_table()
+    for table in (*star_slots, *star_rest, L, P, hom.case_f().structure["omega"],
+                  *hom._form3_table()[1:]):
         assert not table.flags.writeable
 
 
 def test_e6_operator_matches_bruteforce(rng):
     alpha = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     assert np.allclose(hom.e6_operator(alpha), _e6_operator_bruteforce(alpha), atol=1e-12)
+
+
+def test_e6_operator_matches_bruteforce_on_a_real_f_case_form(rng):
+    beta = hom.f_case_project(rng.standard_normal(20))
+    assert hom.f_kernel_residual(beta) < 1e-12
+    assert np.allclose(hom.e6_operator(beta), _e6_operator_bruteforce(beta), atol=1e-12)
+
+
+def test_star_table_signs_are_the_levi_civita_signs():
+    slots, comp, sign = hom._star_table()
+    entries = list(zip(*slots, comp, sign))
+    assert sorted((m, p, q) for m, p, q, _, _ in entries) == list(itertools.permutations(range(6), 3))
+    for m, p, q, c, s in entries:
+        rest = hom.TRIPLES[c]
+        assert list(rest) == sorted(set(range(6)) - {m, p, q})
+        assert s == _perm_sign((m, *rest, p, q))
+
+
+def _eps6_dense():
+    eps = np.zeros((6,) * 6)
+    for perm in itertools.permutations(range(6)):
+        eps[perm] = _perm_sign(perm)
+    return eps
+
+
+def test_wedge_data_is_byte_equal_to_the_dense_levi_civita_construction():
+    omega = np.zeros((6, 6))
+    for i in range(3):
+        omega[2 * i, 2 * i + 1] = 1.0
+        omega[2 * i + 1, 2 * i] = -1.0
+    eps = _eps6_dense()
+    L = np.zeros((6, 20))
+    for col, beta in enumerate(np.eye(20)):
+        L[:, col] = np.einsum("pq,jkl,mpqjkl->m", omega, _form3_bruteforce(beta), eps) / 12.0
+    P = np.eye(20) - np.linalg.pinv(L) @ L
+    L_table, P_table = hom._wedge_data()
+    assert L_table.tobytes() == L.tobytes()
+    assert P_table.tobytes() == P.tobytes()
 
 
 # ---------------------------------------------------------------------------

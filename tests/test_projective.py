@@ -138,6 +138,24 @@ def test_fs_fitted_constant_is_one():
     assert abs(proj.fs_fitted_constant() - 1.0) < 1e-12
 
 
+def test_fs_prepotential_is_parsed_once(monkeypatch):
+    parses = []
+    real = proj.parse_prepotential
+
+    def counting(text, n_vars):
+        parses.append((text, n_vars))
+        return real(text, n_vars)
+
+    monkeypatch.setattr(proj, "parse_prepotential", counting)
+    proj.fs_prepotential.cache_clear()
+    proj.fs_fitted_constant.cache_clear()
+    u = np.array([0.9 + 0.2j, 0.3 - 0.4j, 0.1 + 0.2j])
+    for X in np.eye(6)[:3]:
+        assert proj.fubini_study_compare(u, X) < 1e-12
+    cone.fit_hamiltonian_sign(3)
+    assert parses == [("i*(z0^2 + z1^2 + z2^2)", 3)]
+
+
 def test_fs_compare_spot(fs2):
     assert proj.fubini_study_compare(U0, E1) < 1e-12
 
