@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -80,6 +81,11 @@ class PrepotentialAst:
 
     root: Node
     n_vars: int
+
+    @cached_property
+    def tape(self) -> tuple:
+        """The jet tape of F, compiled on first use and kept with the AST."""
+        return _compile(self.root)
 
 
 # ---------------------------------------------------------------------------
@@ -345,157 +351,248 @@ def pretty(ast: PrepotentialAst) -> str:
 # ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------
-
-# _SHUFFLES[r][s] lists the axis permutations placing s "left factor" axes
-# into each size-s subset of r slots, in order; the Leibniz rule for the
-# r-th derivative of a product sums the shuffled outer products.
-_SHUFFLES = {}
-for _r in range(1, MAX_JET_ORDER + 1):
-    _SHUFFLES[_r] = {}
-    for _s in range(_r + 1):
-        perms = []
-        for subset in itertools.combinations(range(_r), _s):
-            rest = [axis for axis in range(_r) if axis not in subset]
-            placement = list(subset) + rest
-            # placement[i] = destination slot of source axis i; np.transpose
-            # wants axes[dest] = source.
-            axes = [0] * _r
-            for src, dest in enumerate(placement):
-                axes[dest] = src
-            perms.append(tuple(axes))
-        _SHUFFLES[_r][_s] = perms
+#
+# An AST compiles once (lazily, see ``PrepotentialAst.tape``) to a
+# straight-line tape: one instruction per distinct node, whose operands are
+# the slots of earlier instructions.  ``eval_jet`` runs the tape on a stack
+# of P points; a single point is the case P = 1.  Every derivative tensor
+# carries the point axis first, and each one goes through the same numpy
+# loops whatever P is, so a point's jet is bit-identical alone and in a
+# stack.  The value part is the exception: numpy's complex multiply and
+# divide fuse multiply-adds where CPython's complex arithmetic does not, so
+# values stay Python complex numbers, one point at a time.
 
 
-class _Jet:
-    """Value plus symmetric holomorphic derivative tensors up to ``order``."""
+@cache
+def _shuffles(r, s):
+    """Axis permutations placing s "left factor" axes into each size-s subset of r slots.
 
-    __slots__ = ("order", "m", "t")
+    The Leibniz rule for the r-th derivative of a product sums the shuffled
+    outer products.  Axis 0, the point axis, stays in place.
+    """
+    perms = []
+    for subset in itertools.combinations(range(r), s):
+        placement = list(subset) + [axis for axis in range(r) if axis not in subset]
+        # placement[i] = destination slot of source axis i; np.transpose
+        # wants axes[dest] = source.
+        axes = [0] * r
+        for src, dest in enumerate(placement):
+            axes[dest] = src
+        perms.append((0, *(axis + 1 for axis in axes)))
+    return tuple(perms)
 
-    def __init__(self, order, m, t):
-        self.order = order
-        self.m = m
-        self.t = t  # list: t[0] complex scalar, t[r] ndarray of shape (m,)*r
 
-    @classmethod
-    def constant(cls, value, order, m):
-        t = [complex(value)] + [np.zeros((m,) * r, dtype=complex) for r in range(1, order + 1)]
-        return cls(order, m, t)
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
-    @classmethod
-    def variable(cls, index, value, order, m):
-        jet = cls.constant(value, order, m)
-        if order >= 1:
-            jet.t[1][index] = 1.0
-        return jet
 
-    def __add__(self, other):
-        t = [self.t[0] + other.t[0]]
-        t += [self.t[r] + other.t[r] for r in range(1, self.order + 1)]
-        return _Jet(self.order, self.m, t)
+@cache
+def _zeros(m, r):
+    """The rank-r zero tensor with a point axis of length 1, shared read-only."""
+    return _read_only(np.zeros((1,) + (m,) * r, dtype=complex))
 
-    def __sub__(self, other):
-        t = [self.t[0] - other.t[0]]
-        t += [self.t[r] - other.t[r] for r in range(1, self.order + 1)]
-        return _Jet(self.order, self.m, t)
 
-    def __neg__(self):
-        return _Jet(self.order, self.m, [-self.t[0]] + [-self.t[r] for r in range(1, self.order + 1)])
+@cache
+def _unit(m, index):
+    """Gradient of the variable z_index, with a point axis of length 1, shared read-only."""
+    e = np.zeros((1, m), dtype=complex)
+    e[0, index] = 1.0
+    return _read_only(e)
 
-    def __mul__(self, other):
-        order, m = self.order, self.m
-        t = [self.t[0] * other.t[0]]
-        for r in range(1, order + 1):
-            acc = self.t[0] * other.t[r] + self.t[r] * other.t[0]
-            for s in range(1, r):
-                left, right = self.t[s], other.t[r - s]
-                block = np.multiply.outer(left, right)
-                for axes in _SHUFFLES[r][s]:
-                    acc = acc + np.transpose(block, axes)
-            t.append(acc)
-        return _Jet(order, m, t)
 
-    def reciprocal(self, node_text):
-        if abs(self.t[0]) < 1e-300:
-            raise EvaluationSingularity(node_text, abs(self.t[0]))
-        order, m = self.order, self.m
-        inv0 = 1.0 / self.t[0]
-        t = [inv0]
-        for r in range(1, order + 1):
-            acc = np.zeros((m,) * r, dtype=complex)
-            for s in range(1, r + 1):
-                left = self.t[s]
-                right = t[r - s] if r > s else None
-                if s == r:
-                    block_sum = left * t[0]
-                    acc = acc + block_sum
-                    continue
-                block = np.multiply.outer(left, right)
-                for axes in _SHUFFLES[r][s]:
-                    acc = acc + np.transpose(block, axes)
-            t.append(-inv0 * acc)
-        return _Jet(order, m, t)
+def _compile(root) -> tuple:
+    """Post-order instructions of the AST; common subexpressions share a slot.
 
-    def pow_int(self, exponent):
-        order, m = self.order, self.m
-        result = _Jet.constant(1.0, order, m)
-        for _ in range(exponent):
-            result = result * self
-        return result
+    Instructions: ("lit", value), ("var", index), ("neg", a), ("add", a, b),
+    ("mul", a, b) and ("inv", a, text) with ``text`` the printed
+    denominator.  A power is a chain of products starting from 1.
+    """
+    tape, slots = [], {}
+
+    def emit(instr):
+        if instr[0] == "lit":  # literals are cheap; -0.0 == 0.0 must not merge
+            tape.append(instr)
+            return len(tape) - 1
+        if instr not in slots:
+            slots[instr] = len(tape)
+            tape.append(instr)
+        return slots[instr]
+
+    def walk(node):
+        if isinstance(node, Lit):
+            return emit(("lit", complex(node.value)))
+        if isinstance(node, Var):
+            return emit(("var", node.index))
+        if isinstance(node, Neg):
+            return emit(("neg", walk(node.arg)))
+        if isinstance(node, (Sum, Product)):
+            op, items = ("add", node.terms) if isinstance(node, Sum) else ("mul", node.factors)
+            acc = walk(items[0])
+            for item in items[1:]:
+                acc = emit((op, acc, walk(item)))
+            return acc
+        if isinstance(node, Quotient):
+            num = walk(node.num)
+            inv = emit(("inv", walk(node.den), _print(node.den, _P_SUM)))
+            return emit(("mul", num, inv))
+        if isinstance(node, Power):
+            base = walk(node.base)
+            acc = emit(("lit", 1.0 + 0j))
+            for _ in range(node.exponent):
+                acc = emit(("mul", acc, base))
+            return acc
+        raise TypeError(f"not an AST node: {node!r}")
+
+    walk(root)
+    return tuple(tape)
+
+
+def _outer(left, right):
+    """Per-point outer product of two stacked tensors."""
+    return left.reshape(left.shape + (1,) * (right.ndim - 1)) * right.reshape(
+        right.shape[:1] + (1,) * (left.ndim - 1) + right.shape[1:])
+
+
+def _run(tape, zs, order, m):
+    """Run the tape on the stacked points zs (P, m).
+
+    Returns the root's values (P Python complex numbers) and tensors, and a
+    dict mapping each point that hit a singular denominator to its first
+    :class:`EvaluationSingularity`; such a point carries NaN from there on.
+    """
+    count = len(zs)
+    columns = zs.T.tolist()
+    zero = [_zeros(m, r) for r in range(1, order + 1)]
+    shapes = [(count,) + (1,) * r for r in range(1, order + 1)]
+
+    def scaled(values):
+        """Per-point scalars broadcasting against the tensors of each rank 1..order.
+
+        One point needs no array: numpy broadcasts a Python complex through
+        the same multiply as a (1, 1, ...) array.
+        """
+        if count == 1:
+            return [values[0]] * order
+        base = np.array(values, dtype=complex)
+        return [base.reshape(shape) for shape in shapes]
+
+    def scale_of(slot):
+        if slot not in scales:
+            scales[slot] = scaled(vals[slot])
+        return scales[slot]
+
+    singular = {}
+    vals, tens, scales = [], [], {}
+    for instr in tape:
+        op = instr[0]
+        if op == "lit":
+            v, t = [instr[1]] * count, zero
+        elif op == "var":
+            v, t = columns[instr[1]], [_unit(m, instr[1])] + zero[1:] if order else zero
+        elif op == "neg":
+            v = [-x for x in vals[instr[1]]]
+            t = [-x for x in tens[instr[1]]]
+        elif op == "add":
+            a, b = instr[1], instr[2]
+            v = [x + y for x, y in zip(vals[a], vals[b])]
+            t = [x + y for x, y in zip(tens[a], tens[b])]
+        elif op == "mul":
+            a, b = instr[1], instr[2]
+            ta, tb = tens[a], tens[b]
+            v = [x * y for x, y in zip(vals[a], vals[b])]
+            t = []
+            if order:
+                sa, sb = scale_of(a), scale_of(b)
+            for r in range(1, order + 1):
+                acc = sa[r - 1] * tb[r - 1] + ta[r - 1] * sb[r - 1]
+                for s in range(1, r):
+                    block = _outer(ta[s - 1], tb[r - s - 1])
+                    for axes in _shuffles(r, s):
+                        acc = acc + block.transpose(axes)
+                t.append(acc)
+        else:  # "inv"
+            a, text = instr[1], instr[2]
+            v = []
+            for p, x in enumerate(vals[a]):
+                if abs(x) < 1e-300:
+                    singular.setdefault(p, EvaluationSingularity(text, abs(x)))
+                    v.append(complex("nan+nanj"))
+                else:
+                    v.append(1.0 / x)
+            ta = tens[a]
+            t = []
+            if order:
+                sv, sneg = scaled(v), scaled([-x for x in v])
+            for r in range(1, order + 1):
+                acc = zero[r - 1]
+                for s in range(1, r + 1):
+                    if s == r:
+                        acc = acc + ta[r - 1] * sv[r - 1]
+                        continue
+                    block = _outer(ta[s - 1], t[r - s - 1])
+                    for axes in _shuffles(r, s):
+                        acc = acc + block.transpose(axes)
+                t.append(sneg[r - 1] * acc)
+        vals.append(v)
+        tens.append(t)
+    return vals[-1], tens[-1], singular
 
 
 @dataclass(frozen=True)
 class ComplexJet:
-    """Holomorphic value and derivative tensors of F at a point.
+    """Holomorphic value and derivative tensors of F at a point, or at a stack of points.
 
     ``derivs[m-1]`` is the rank-m symmetric tensor of order-m partials,
-    for m = 1..order.
+    for m = 1..order.  A jet of a stack of P points has a leading point
+    axis on ``value`` and on every tensor, and ``singular`` maps each point
+    that hit a singular denominator to its error; those points hold NaN.
     """
 
     order: int
     value: complex
     derivs: tuple
+    singular: dict
 
     def deriv(self, m: int) -> np.ndarray:
         if not 1 <= m <= self.order:
             raise ValueError(f"order-{m} derivative not in jet (order {self.order})")
         return self.derivs[m - 1]
 
+    def row(self, p: int) -> "ComplexJet":
+        """Point p of a stacked jet as a single-point jet.
 
-def _eval_node(node, zvals, order, m):
-    if isinstance(node, Lit):
-        return _Jet.constant(node.value, order, m)
-    if isinstance(node, Var):
-        return _Jet.variable(node.index, zvals[node.index], order, m)
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, zvals, order, m)
-    if isinstance(node, Sum):
-        acc = _eval_node(node.terms[0], zvals, order, m)
-        for term in node.terms[1:]:
-            acc = acc + _eval_node(term, zvals, order, m)
-        return acc
-    if isinstance(node, Product):
-        acc = _eval_node(node.factors[0], zvals, order, m)
-        for factor in node.factors[1:]:
-            acc = acc * _eval_node(factor, zvals, order, m)
-        return acc
-    if isinstance(node, Quotient):
-        num = _eval_node(node.num, zvals, order, m)
-        den = _eval_node(node.den, zvals, order, m)
-        return num * den.reciprocal(_print(node.den, _P_SUM))
-    if isinstance(node, Power):
-        return _eval_node(node.base, zvals, order, m).pow_int(node.exponent)
-    raise TypeError(f"not an AST node: {node!r}")
+        A view of what was evaluated, not an evaluation: it is built through
+        ``type(self)``, so the jets made by :func:`eval_jet` are exactly one
+        per call.
+        """
+        return type(self)(self.order, complex(self.value[p]), tuple(d[p] for d in self.derivs), {})
 
 
 def eval_jet(ast: PrepotentialAst, z, order: int) -> ComplexJet:
-    """Evaluate F and its holomorphic partials up to ``order`` at z."""
+    """Evaluate F and its holomorphic partials up to ``order`` at z.
+
+    z is one point of shape (n,), or a stack of points of shape (P, n).  A
+    singular denominator raises at a single point; in a stack it marks
+    only its own point (see :class:`ComplexJet`).
+    """
     if not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be in [0, {MAX_JET_ORDER}]")
-    zvals = np.asarray(z, dtype=complex)
-    if zvals.shape != (ast.n_vars,):
-        raise ValueError(f"point has shape {zvals.shape}, expected ({ast.n_vars},)")
-    jet = _eval_node(ast.root, zvals, order, ast.n_vars)
-    return ComplexJet(order, jet.t[0], tuple(jet.t[1 : order + 1]))
+    zs = np.asarray(z, dtype=complex)
+    stacked = zs.ndim == 2
+    if zs.shape[-1:] != (ast.n_vars,) or zs.ndim not in (1, 2):
+        raise ValueError(f"point has shape {zs.shape}, expected ({ast.n_vars},) or (P, {ast.n_vars})")
+    values, tensors, singular = _run(ast.tape, zs.reshape(-1, ast.n_vars), order, ast.n_vars)
+    count = len(values)
+    # A root that is a literal or a bare variable hands back a shared read-only
+    # constant with a point axis of length 1: give the caller its own copy.
+    derivs = tuple(t if t.shape[0] == count and t.flags.writeable
+                   else np.broadcast_to(t, (count,) + t.shape[1:]).copy() for t in tensors)
+    if stacked:
+        return ComplexJet(order, np.array(values, dtype=complex), derivs, singular)
+    if singular:
+        raise singular[0]
+    return ComplexJet(order, values[0], tuple(t[0] for t in derivs), singular)
 
 
 # ---------------------------------------------------------------------------

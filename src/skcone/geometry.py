@@ -18,6 +18,7 @@ J_can is the canonical Darboux matrix of the (x, y) ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,10 +48,10 @@ def to_real(z) -> np.ndarray:
 
 
 def to_complex(w) -> np.ndarray:
-    """Inverse of :func:`to_real`."""
+    """Inverse of :func:`to_real`; a stack of real points (P, 2m) gives (P, m)."""
     w = np.asarray(w, dtype=float)
-    m = w.size // 2
-    return w[:m] + 1j * w[m:]
+    m = w.shape[-1] // 2
+    return w[..., :m] + 1j * w[..., m:]
 
 
 def complex_structure(m: int) -> np.ndarray:
@@ -58,6 +59,14 @@ def complex_structure(m: int) -> np.ndarray:
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = -np.eye(m)
     J[m:, :m] = np.eye(m)
+    return J
+
+
+@cache
+def _complex_structure_table(m: int) -> np.ndarray:
+    """:func:`complex_structure`, built once per m and shared read-only."""
+    J = complex_structure(m)
+    J.flags.writeable = False
     return J
 
 
@@ -130,12 +139,15 @@ def _k_of(jet, z) -> float:
 
 
 def _flat_jacobian(tau) -> np.ndarray:
-    """Jacobian of the flat map (x, y) = (Re z, Re dF/dz) on the real frame."""
-    m = tau.shape[0]
-    jac = np.zeros((2 * m, 2 * m))
-    jac[:m, :m] = np.eye(m)
-    jac[m:, :m] = tau.real
-    jac[m:, m:] = -np.imag(tau)
+    """Jacobian of the flat map (x, y) = (Re z, Re dF/dz) on the real frame.
+
+    A stack of second-derivative matrices (P, m, m) gives a stack (P, 2m, 2m).
+    """
+    m = tau.shape[-1]
+    jac = np.zeros(tau.shape[:-2] + (2 * m, 2 * m))
+    jac[..., :m, :m] = np.eye(m)
+    jac[..., m:, :m] = tau.real
+    jac[..., m:, m:] = -np.imag(tau)
     return jac
 
 
@@ -191,7 +203,7 @@ def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
     omega = np.zeros((2 * m, 2 * m))
     omega[:m, m:] = 0.5 * N
     omega[m:, :m] = -0.5 * N
-    J = complex_structure(m)
+    J = _complex_structure_table(m)
 
     flat = np.concatenate([z.real, f1.real])
     return DomainSample(z=z, k=k, dk=dk, h=N.astype(complex), g=g, omega=omega,
@@ -209,34 +221,91 @@ def parabolic_immersion(ast: PrepotentialAst, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _newton(ast: PrepotentialAst, target, w, jet, max_steps: int = 50):
-    """Newton-invert the flat map from the real point w.
+def _solve_rows(jacs, res):
+    """One Newton step per row of res; jacs is one matrix per row, or one for all rows.
 
-    ``jet`` is the order-2 jet at w, or None to evaluate it.  Returns the
-    converged real point together with its order-2 jet.
+    The stacked solve, or row by row once a matrix is singular.  Returns
+    the steps and the indices of the rows whose matrix is singular.
     """
-    target = np.asarray(target, dtype=float)
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
+    try:
+        return np.linalg.solve(jacs, res[:, :, None])[:, :, 0], []
+    except np.linalg.LinAlgError:
+        steps, singular = np.zeros_like(res), []
+        for j, (jac, r) in enumerate(zip(np.broadcast_to(jacs, res.shape + res.shape[-1:]), res)):
+            try:
+                steps[j] = np.linalg.solve(jac, r)
+            except np.linalg.LinAlgError:
+                singular.append(j)
+        return steps, singular
+
+
+def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
+    """Newton-invert the flat map at every row of ``targets``, all starting from the real point w.
+
+    ``jet`` is the order-2 jet at w, or None to evaluate it.  The rows run
+    together, with one stacked jet and one stacked solve per step, but each
+    row stops on its own tolerance 1e-12 * (1 + |target|).  Returns, per
+    row, its converged real point with the order-2 jet there, or the error
+    that stopped it; a failing row leaves the others as they would be alone.
+    """
+    targets = np.asarray(targets, dtype=float)
+    tols = [1e-12 * (1.0 + float(np.linalg.norm(t))) for t in targets]
     m = ast.n_vars
+    W = np.tile(w, (len(targets), 1))
+    out = [None] * len(targets)
+    live = list(range(len(targets)))   # rows still stepping
     for _ in range(max_steps):
         if jet is None:
-            try:
-                jet = eval_jet(ast, to_complex(w), 2)
-            except EvaluationSingularity as exc:
-                raise NoConvergence(f"hit a singular point during Newton: {exc}") from exc
-        flat = np.concatenate([w[:m], jet.deriv(1).real])
-        res = flat - target
-        if np.linalg.norm(res) <= tol:
-            return w, jet
-        try:
-            step = np.linalg.solve(_flat_jacobian(jet.deriv(2)), res)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetric("flat-coordinate Jacobian is singular") from exc
-        if not np.all(np.isfinite(step)):
-            raise DegenerateMetric("flat-coordinate Jacobian is numerically singular")
-        w = w - step
+            stack = eval_jet(ast, to_complex(W[live]), 2)
+            f1, tau, rows = stack.deriv(1), stack.deriv(2), range(len(live))
+            if stack.singular:
+                for j, exc in stack.singular.items():
+                    out[live[j]] = NoConvergence(f"hit a singular point during Newton: {exc}")
+                    out[live[j]].__cause__ = exc
+                rows = [j for j in rows if j not in stack.singular]
+                live, f1, tau = [live[j] for j in rows], f1[rows], tau[rows]
+        else:  # the first step: every row is still at w
+            f1, tau = jet.deriv(1)[None], jet.deriv(2)[None]
+        res = W[live]              # the flat coordinates (x, Re dF/dz), minus the targets
+        res[:, m:] = f1.real
+        res -= targets[live]
+        # np.linalg.norm row by row: a reduction along axis 1 sums in another order.
+        stepping = []
+        for j, (i, r) in enumerate(zip(live, res)):
+            if np.linalg.norm(r) <= tols[i]:
+                out[i] = (W[i], jet if jet is not None else stack.row(rows[j]))
+            else:
+                stepping.append(j)
+        if len(stepping) < len(live):
+            if not stepping:
+                return out
+            live, res = [live[j] for j in stepping], res[stepping]
+            if jet is None:
+                tau = tau[stepping]
+        steps, singular = _solve_rows(_flat_jacobian(tau), res)
+        finite = np.isfinite(steps).all(axis=1)
+        if singular or not finite.all():
+            for j, i in enumerate(live):
+                if j in singular:
+                    out[i] = DegenerateMetric("flat-coordinate Jacobian is singular")
+                elif not finite[j]:
+                    out[i] = DegenerateMetric("flat-coordinate Jacobian is numerically singular")
+            kept = [j for j, i in enumerate(live) if out[i] is None]
+            if not kept:
+                return out
+            live, steps = [live[j] for j in kept], steps[kept]
+        W[live] -= steps
         jet = None
-    raise NoConvergence(f"Newton did not reach tolerance {tol:.1e} in {max_steps} steps")
+    for i in live:
+        out[i] = NoConvergence(f"Newton did not reach tolerance {tols[i]:.1e} in {max_steps} steps")
+    return out
+
+
+def _inverted(hit):
+    """A row of :func:`_newton`, or its error raised."""
+    if isinstance(hit, Exception):
+        raise hit
+    return hit
 
 
 def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50) -> np.ndarray:
@@ -245,7 +314,7 @@ def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50
     Returns z with |flat(z) - target| <= 1e-12 * (1 + |target|).
     """
     w0 = to_real(np.asarray(z_init, dtype=complex))
-    return to_complex(_newton(ast, target, w0, None, max_steps)[0])
+    return to_complex(_inverted(_newton(ast, [target], w0, None, max_steps)[0])[0])
 
 
 def _central(field, w, dw, h) -> np.ndarray:
@@ -253,6 +322,12 @@ def _central(field, w, dw, h) -> np.ndarray:
     hi = np.asarray(field(w + dw), dtype=float)
     lo = np.asarray(field(w - dw), dtype=float)
     return (hi - lo) / (2.0 * h)
+
+
+def _axis_stencil(w0, step: float) -> np.ndarray:
+    """The 2n points :func:`chart_matrix_derivative` evaluates its field at, bit for bit."""
+    dw = step * np.eye(w0.size)
+    return np.concatenate([w0 + dw, w0 - dw])
 
 
 def chart_matrix_derivative(field, w0, step: float) -> np.ndarray:
@@ -283,12 +358,31 @@ class FlatChart:
         self._points = {}
         self._samples = {}
 
+    def points(self, W) -> None:
+        """Newton-invert, all at once, every chart point (row of W) not yet memoised.
+
+        Each row converges exactly as it would alone.  A row that fails is
+        not memoised, so :meth:`point` raises its error when it is asked for.
+        """
+        todo = {}
+        for w in W:
+            key = w.tobytes()
+            if key not in self._points:
+                todo.setdefault(key, w)
+        if todo:
+            hits = _newton(self.ast, list(todo.values()), self._seed_w, self._seed_jet)
+            done = [(key, hit) for key, hit in zip(todo, hits) if not isinstance(hit, Exception)]
+            if done:
+                zs = to_complex(np.array([w for _, (w, _) in done]))
+                for (key, (_, jet)), z in zip(done, zs):
+                    self._points[key] = (z, jet)
+
     def point(self, w):
         """The Newton-inverted z of chart point w, with the order-2 jet of F at z."""
         key = w.tobytes()
         hit = self._points.get(key)
         if hit is None:
-            w_conv, jet = _newton(self.ast, w, self._seed_w, self._seed_jet)
+            w_conv, jet = _inverted(_newton(self.ast, [w], self._seed_w, self._seed_jet)[0])
             hit = self._points[key] = (to_complex(w_conv), jet)
         return hit
 
@@ -343,11 +437,14 @@ class FlatChart:
         if norm == 0.0:
             return np.zeros_like(np.asarray(field(w), dtype=float))
         h = step * (1.0 + float(np.linalg.norm(w)))
-        return _central(field, w, h * (direction / norm), h) * norm
+        dw = h * (direction / norm)
+        self.points([w + dw, w - dw])
+        return _central(field, w, dw, h) * norm
 
     def christoffel(self, w, step=GAMMA_STEP) -> np.ndarray:
         """Gamma^c_{ab} of the cone metric in flat coordinates."""
         h = step * (1.0 + float(np.linalg.norm(w)))
+        self.points([w, *_axis_stencil(w, h)])
         dg = chart_matrix_derivative(self.g_flat, w, h)
         g_inv = np.linalg.inv(self.g_flat(w))
         # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
@@ -397,24 +494,20 @@ def flat_hessian_fd(ast: PrepotentialAst, z, step: float = 1e-4) -> np.ndarray:
     chart = FlatChart(ast, z)
     w0 = chart.base.flat
     n = w0.size
+    e = step * np.eye(n)
+    plus, minus = w0 + e, w0 - e
+    cross = {(a, b): (plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b])
+             for a in range(n) for b in range(a + 1, n)}
+    chart.points([w0, *plus, *minus, *(w for quad in cross.values() for w in quad)])
     k_at = chart.k
 
     k0 = k_at(w0)
     H = np.zeros((n, n))
     for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = step
-        H[a, a] = (k_at(w0 + ea) - 2.0 * k0 + k_at(w0 - ea)) / step**2
+        H[a, a] = (k_at(plus[a]) - 2.0 * k0 + k_at(minus[a])) / step**2
         for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = step
-            val = (
-                k_at(w0 + ea + eb)
-                - k_at(w0 + ea - eb)
-                - k_at(w0 - ea + eb)
-                + k_at(w0 - ea - eb)
-            ) / (4.0 * step**2)
-            H[a, b] = H[b, a] = val
+            pp, pm, mp, mm = cross[a, b]
+            H[a, b] = H[b, a] = (k_at(pp) - k_at(pm) - k_at(mp) + k_at(mm)) / (4.0 * step**2)
     return H
 
 
@@ -499,6 +592,7 @@ def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
+    chart.points(_axis_stencil(w0, h))
     return antisymmetrized_chart_derivative(chart.J_flat, w0, h)
 
 
@@ -506,6 +600,7 @@ def omega_parallel_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
     h = step * (1.0 + float(np.linalg.norm(w0)))
+    chart.points(_axis_stencil(w0, h))
     return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, h))))
 
 
@@ -518,6 +613,7 @@ def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """
     s0 = chart.base
     h = step * (1.0 + float(np.linalg.norm(s0.flat)))
+    chart.points(_axis_stencil(s0.flat, h))
     D = chart_matrix_derivative(chart.eta_flat, s0.flat, h)  # D[a, b] = d_a eta_b
     d_eta = D - D.T
     return float(np.max(np.abs(d_eta - 2.0 * s0.flat_form(s0.omega))))

@@ -257,9 +257,11 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_import_builds_no_cached_table():
     """Constant tables are built on first use, so importing the CLI stays cheap."""
     code = (
-        "import skcone.cli, skcone.homogeneous as h, skcone.projective as p; "
-        "tables = (h._form3_table, h._star_table, h._wedge_data, p.fs_prepotential); "
-        "assert [t.cache_info().currsize for t in tables] == [0, 0, 0, 0]"
+        "import skcone.cli, skcone.homogeneous as h, skcone.projective as p, "
+        "skcone.expr as e, skcone.geometry as g; "
+        "tables = (h._form3_table, h._star_table, h._wedge_data, p.fs_prepotential, "
+        "e._shuffles, e._zeros, e._unit, g._complex_structure_table); "
+        "assert [t.cache_info().currsize for t in tables] == [0] * 8"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

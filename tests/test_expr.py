@@ -270,6 +270,65 @@ def test_lower_tensors_do_not_depend_on_order(name, request, rng):
                     assert np.array_equal(jets[k].deriv(r), jets[j].deriv(r))
 
 
+MIXED = "-(2.5 + 1.5*i)*z0^2 + 3*z1*z0 - z1^3/z0 + z1^0*(z0 - z1)^2"
+
+
+def _jet_bytes(value, derivs):
+    return [np.complex128(value).tobytes()] + [np.asarray(d).tobytes() for d in derivs]
+
+
+@pytest.mark.parametrize("name", ["fs3", "stu", "sig3", "mixed"])
+def test_stacked_jet_is_byte_equal_to_single_points(name, request, rng):
+    """Every point of a stacked jet carries the bytes of its own single-point jet."""
+    ast = parse_prepotential(MIXED, 2) if name == "mixed" else request.getfixturevalue(name)
+    n = ast.n_vars
+    zs = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    zs[0] = -zs[0]
+    zs[1, 1] = -0.0
+    for order in range(5):
+        stack = eval_jet(ast, zs, order)
+        assert stack.singular == {}
+        assert stack.value.shape == (9,)
+        assert all(d.shape == (9,) + (n,) * r for r, d in enumerate(stack.derivs, 1))
+        for p, z in enumerate(zs):
+            single = eval_jet(ast, z, order)
+            assert _jet_bytes(stack.value[p], [d[p] for d in stack.derivs]) == \
+                _jet_bytes(single.value, single.derivs)
+            row = stack.row(p)
+            assert _jet_bytes(row.value, row.derivs) == _jet_bytes(single.value, single.derivs)
+
+
+def test_values_are_python_complex_arithmetic(stu, rng):
+    """Values follow CPython's complex arithmetic, which numpy's (fused multiply-add) does not match."""
+    zs = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    stack = eval_jet(stu, zs, 2)
+    for p, (z0, z1, z2, z3) in enumerate(zs.tolist()):
+        expected = np.complex128(((z1 * z2) * z3) * (1.0 / z0)).tobytes()
+        assert stack.value[p].tobytes() == expected
+        assert np.complex128(eval_jet(stu, zs[p], 0).value).tobytes() == expected
+
+
+def test_stacked_singular_point_marks_only_itself(stu):
+    zs = np.array([[1.0, 1j, 1j, 1j], [0.0, 1.0, 1.0, 1.0], [1.1 + 0.2j, 0.4 + 0.9j, 1.2j, 0.8 - 0.5j]])
+    stack = eval_jet(stu, zs, 2)
+    with pytest.raises(EvaluationSingularity) as single:
+        eval_jet(stu, zs[1], 2)
+    assert list(stack.singular) == [1]
+    assert str(stack.singular[1]) == str(single.value)
+    assert np.isnan(stack.value[1]) and np.isnan(stack.deriv(2)[1]).all()
+    for p in (0, 2):
+        alone = eval_jet(stu, zs[p], 2)
+        assert _jet_bytes(stack.value[p], [d[p] for d in stack.derivs]) == \
+            _jet_bytes(alone.value, alone.derivs)
+
+
+def test_tape_is_compiled_once_per_ast(stu):
+    ast = parse_prepotential("z1*z2*z3/z0 + z1*z2*z3/z0", 4)
+    assert ast.tape is ast.tape
+    # the repeated quotient is one run of instructions, not two
+    assert len(ast.tape) == len(stu.tape) + 1
+
+
 # ---------------------------------------------------------------------------
 # homogeneity
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_domain_sample_invariants(stu):
         assert np.max(np.abs(s.omega - 0.5 * s.J.T @ s.g)) < 1e-12
 
 
+def test_domain_samples_share_one_read_only_complex_structure(stu):
+    a, b = (geo.domain_sample(stu, z) for z in stu_points(2))
+    assert a.J is b.J and not a.J.flags.writeable
+    assert np.array_equal(a.J, geo.complex_structure(4))
+    assert geo.complex_structure(4).flags.writeable
+
+
 def test_stu_flat_jacobian_invertible(stu):
     s = geo.domain_sample(stu, np.array([1.0, 1j, 1j, 1j]))
     assert np.isfinite(np.linalg.cond(s.flat_jac))
