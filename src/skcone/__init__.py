@@ -11,10 +11,11 @@ verify       suite orchestration and JSON reports
 cli          command-line front end
 
 All public functions are pure computations on immutable inputs; the only
-module-level state is ``functools.cache`` of constant tables (Levi-Civita
-symbol, 3-form index table, symplectic form, wedge projector, the fitted
-Fubini-Study scale), built on first use and returned as read-only arrays,
-so concurrent callers are safe and results never depend on call order.
+module-level state is ``functools.cache`` of constant tables (the 3-form
+index and Hodge-star tables, symplectic form, wedge projector, complex
+structure, jet shuffles, the parsed Fubini-Study prepotential and its
+fitted scale), built on first use and returned read-only, so concurrent
+callers are safe and results never depend on call order.
 """
 
 from .expr import PrepotentialAst, eval_jet, parse_prepotential, pretty

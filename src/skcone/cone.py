@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, InadmissiblePoint
+from .errors import DegenerateMetric, InadmissiblePoint, SkconeError
 from .expr import PrepotentialAst, max_or_nan
 # invert_flat_coords is not used here; it stays in this module's namespace,
 # whose bindings perfbench/selftest.py checks.
@@ -35,6 +35,9 @@ from .projective import fs_prepotential
 HAMILTONIAN_SIGN = 1.0
 
 _OUTER_STEP = 3e-4   # outer derivative of quantities that are themselves FD
+# What forming a stencil direction can raise: a chart point that failed, a
+# degenerate level tangent, a singular solve.
+_STENCIL_ERRORS = (SkconeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,9 @@ def shape_residual(ast: PrepotentialAst, sphere: SphereSample, X,
 
 def mean_curvature_residual(ast: PrepotentialAst, sphere: SphereSample) -> float:
     """|trace(A)/(2n+1) - kappa| over the Euclidean-orthonormal frame."""
-    chart = FlatChart(ast, sphere.domain.z)
+    dom = sphere.domain
+    chart = FlatChart(ast, dom.z)
+    chart.points([w for T in sphere.frame for w in chart.dir_points(dom.flat, dom.flat_jac @ T, FIELD_STEP)])
     trace = 0.0
     for T in sphere.frame:
         trace += float(T @ _shape_operator(chart, sphere, T))
@@ -185,6 +190,53 @@ def _tangential(dom: DomainSample, V) -> np.ndarray:
     return V - (float(dom.dk @ V) / (2.0 * dom.k)) * dom.xi
 
 
+def _level_derivative(chart: FlatChart, dom: DomainSample, Xf, Y, gamma0) -> np.ndarray:
+    """Tangential Levi-Civita derivative at w0, along Xf, of the level-set extension of Y."""
+    DXY = chart.lc_deriv(lambda w: chart.level_tangent_flat(w, Y), dom.flat, Xf, gamma0)
+    return _tangential(dom, np.linalg.solve(dom.flat_jac, DXY))
+
+
+def _hand_over_sasaki_stencils(chart: FlatChart, dom: DomainSample, vectors) -> None:
+    """Invert every chart point :func:`sasaki_residuals` differentiates across, in two stacks.
+
+    ``vectors`` holds (X, Y, Xc, Yc, Xf, Yf, Xcf, Ycf) per tangent pair.  The first
+    stack holds the points that w0 and the pairs' vectors fix: the
+    Christoffel stencils at w0 and at the outer points of the nested
+    difference, and the direction stencils along Xf, Yf, Xcf and Ycf.  The
+    second holds the direction stencils whose direction is a field at
+    points of the first: the level tangent of Y at w0 and at the outer
+    points, and the direction of Phi in the structure equation.  A
+    direction that cannot be formed is left out; the residual loop then
+    raises its error as it would without the hand-over.
+    """
+    w0 = dom.flat
+    jac0 = dom.flat_jac
+    first = chart.christoffel_points(w0)
+    outer = []
+    for _, _, _, _, Xf, Yf, Xcf, Ycf in vectors:
+        ends = chart.dir_points(w0, Xf, _OUTER_STEP)
+        outer.append(ends)
+        for w in ends:
+            first += chart.christoffel_points(w)
+        for direction in (Xf, Yf, Xcf, Ycf):
+            first += chart.dir_points(w0, direction, FIELD_STEP)
+    chart.points(first)
+
+    second = []
+    for (_, Y, _, _, Xf, *_), ends in zip(vectors, outer):
+        for w in (w0, *ends):
+            try:
+                second += chart.dir_points(w, chart.level_tangent_flat(w, Y), FIELD_STEP)
+            except _STENCIL_ERRORS:
+                pass
+        try:
+            hat = _level_derivative(chart, dom, Xf, Y, chart.christoffel(w0))
+            second += chart.dir_points(w0, jac0 @ hat, FIELD_STEP)
+        except _STENCIL_ERRORS:
+            pass
+    chart.points(second)
+
+
 def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> SasakiResiduals:
     """Residuals of the Sasaki identities for sigma = J xi on S.
 
@@ -192,12 +244,24 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
     structure  (D_X Phi)(Y) = kappa g(sigma, Y) X - g(X, Y) sigma
     affine     Phi = nabla-hat sigma (affine Sasaki condition)
     contact    d eta = 2 omega on ker eta
+
+    Every chart point is inverted before the residuals are differentiated
+    (see :func:`_hand_over_sasaki_stencils`), so they read memoised points.
     """
     dom = sphere.domain
     chart = FlatChart(ast, dom.z)
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
+    eta_sigma = float(sphere.eta @ sphere.sigma)
+    vectors = []
+    for X, Y in pairs:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        Xc = X - (float(sphere.eta @ X) / eta_sigma) * sphere.sigma
+        Yc = Y - (float(sphere.eta @ Y) / eta_sigma) * sphere.sigma
+        vectors.append((X, Y, Xc, Yc, jac0 @ X, jac0 @ Y, jac0 @ Xc, jac0 @ Yc))
+    _hand_over_sasaki_stencils(chart, dom, vectors)
     gamma0 = chart.christoffel(w0)
     g_flat0 = chart.g_flat(w0)
 
@@ -215,12 +279,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
     affine = 0.0
     contact = 0.0
 
-    for X, Y in pairs:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        Xf = jac0 @ X
-        Yf = jac0 @ Y
-
+    for X, Y, Xc, Yc, Xf, Yf, Xcf, Ycf in vectors:
         # Killing: g(D_X sigma, Y) + g(X, D_Y sigma) = 0 for tangent X, Y.
         DXs = lc_sigma(w0, Xf, gamma0)
         DYs = lc_sigma(w0, Yf, gamma0)
@@ -244,11 +303,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
 
         DXq = chart.lc_deriv(q_flat, w0, Xf, gamma0, step=_OUTER_STEP)
         term1 = _tangential(dom, np.linalg.solve(jac0, DXq))
-        DXY = np.linalg.solve(
-            jac0,
-            chart.lc_deriv(lambda w: chart.level_tangent_flat(w, Y), w0, Xf, gamma0),
-        )
-        term2 = phi_at_u(_tangential(dom, DXY))
+        term2 = phi_at_u(_level_derivative(chart, dom, Xf, Y, gamma0))
         lhs = term1 - term2
         # Expanding (D-bar J) = 0 on the cone with J X = Phi X - eta(X) xi
         # puts kappa on both terms; for kappa = 1 this is the usual form.
@@ -256,11 +311,6 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
         structure = max_or_nan(structure, float(np.linalg.norm(lhs - rhs)))
 
         # Contact: d eta = 2 omega on ker eta.
-        eta_sigma = float(sphere.eta @ sphere.sigma)
-        Xc = X - (float(sphere.eta @ X) / eta_sigma) * sphere.sigma
-        Yc = Y - (float(sphere.eta @ Y) / eta_sigma) * sphere.sigma
-        Xcf = jac0 @ Xc
-        Ycf = jac0 @ Yc
         d1 = chart.dir_deriv(lambda w: np.array([chart.eta_flat(w) @ Ycf]), w0, Xcf, FIELD_STEP)
         d2 = chart.dir_deriv(lambda w: np.array([chart.eta_flat(w) @ Xcf]), w0, Ycf, FIELD_STEP)
         d_eta = float(d1[0] - d2[0])
@@ -310,13 +360,30 @@ def fit_hamiltonian_sign(dim: int = 3) -> float:
     return float(np.sign(X_flat @ ref))
 
 
+def _position_residual(chart: FlatChart, r: float, X, step: float) -> float:
+    """|nabla_{X~} xi - X~| on the chart seeded at r*u, with X~ = r * X."""
+    dom_p = chart.base
+    Xt_flat = dom_p.flat_jac @ (r * X)
+    D = chart.dir_deriv(chart.xi_flat, dom_p.flat, Xt_flat, step)
+    V = np.linalg.solve(dom_p.flat_jac, D)
+    return float(np.linalg.norm(V - r * X))
+
+
+def warped_position_residual(ast: PrepotentialAst, sphere: SphereSample,
+                             r: float, X, step: float = FIELD_STEP) -> float:
+    """nabla_{X~} xi = X~ at the scaled point r*u (xi is the flat position field)."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    return _position_residual(FlatChart(ast, r * sphere.u), r, np.asarray(X, dtype=float), step)
+
+
 def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
                              r: float, X, Y, step: float = FIELD_STEP) -> tuple:
     """Radial (warped product) identities at the scaled point r*u.
 
     w1: nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the
         Gauss data at u, for the homogeneous extensions X~(ru) = r X(u).
-    w2: nabla_{X~} xi = X~ (xi is the flat position field).
+    w2: :func:`warped_position_residual`, on the same chart.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -339,8 +406,4 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
     split = gauss_split(ast, sphere, X, Y)
     rhs = r * (split.tangential + split.normal_coeff * sphere.E)
     w1 = float(np.linalg.norm(V - rhs))
-
-    D2 = chart.dir_deriv(chart.xi_flat, wp, Xt_flat, step)
-    V2 = np.linalg.solve(dom_p.flat_jac, D2)
-    w2 = float(np.linalg.norm(V2 - r * X))
-    return w1, w2
+    return w1, _position_residual(chart, r, X, step)

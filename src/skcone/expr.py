@@ -653,22 +653,27 @@ def jet_fd_residual(ast: PrepotentialAst, z, order: int = MAX_JET_ORDER) -> floa
 
     Steps along each variable with a real increment 1e-5 * max(1, |z|);
     holomorphy makes the real-direction difference the holomorphic partial.
+    The 2n offsets z + dz_j, z - dz_j of each order are evaluated as one
+    stack; a singular offset raises the error of the first one in that
+    order, as evaluating them one at a time would.
     """
     z = np.asarray(z, dtype=complex)
     step = 1e-5 * max(1.0, float(np.linalg.norm(z)))
+    n = ast.n_vars
+    dz = step * np.eye(n, dtype=complex)
+    offsets = np.stack([z + dz, z - dz], axis=1).reshape(2 * n, n)  # rows z+dz_0, z-dz_0, z+dz_1, ...
     worst = 0.0
     for m in range(1, order + 1):
         exact = eval_jet(ast, z, m).deriv(m)
         scale = max(1.0, float(np.max(np.abs(exact))))
-        for j in range(ast.n_vars):
-            dz = np.zeros(ast.n_vars, dtype=complex)
-            dz[j] = step
+        stack = eval_jet(ast, offsets, m - 1)
+        if stack.singular:
+            raise stack.singular[min(stack.singular)]
+        for j in range(n):
             if m == 1:
-                hi = eval_jet(ast, z + dz, 0).value
-                lo = eval_jet(ast, z - dz, 0).value
+                hi, lo = complex(stack.value[2 * j]), complex(stack.value[2 * j + 1])
             else:
-                hi = eval_jet(ast, z + dz, m - 1).deriv(m - 1)
-                lo = eval_jet(ast, z - dz, m - 1).deriv(m - 1)
+                hi, lo = stack.deriv(m - 1)[2 * j], stack.deriv(m - 1)[2 * j + 1]
             fd = (hi - lo) / (2.0 * step)
             worst = max_or_nan(worst, float(np.max(np.abs(fd - exact[..., j]))) / scale)
     return worst

@@ -17,6 +17,7 @@ J_can is the canonical Darboux matrix of the (x, y) ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -249,7 +250,7 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
     that stopped it; a failing row leaves the others as they would be alone.
     """
     targets = np.asarray(targets, dtype=float)
-    tols = [1e-12 * (1.0 + float(np.linalg.norm(t))) for t in targets]
+    tols = [1e-12 * (1.0 + math.sqrt(t.dot(t))) for t in targets]
     m = ast.n_vars
     W = np.tile(w, (len(targets), 1))
     out = [None] * len(targets)
@@ -269,10 +270,11 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
         res = W[live]              # the flat coordinates (x, Re dF/dz), minus the targets
         res[:, m:] = f1.real
         res -= targets[live]
-        # np.linalg.norm row by row: a reduction along axis 1 sums in another order.
+        # The norm row by row, as np.linalg.norm computes it for a real vector:
+        # a reduction along axis 1 sums in another order.
         stepping = []
         for j, (i, r) in enumerate(zip(live, res)):
-            if np.linalg.norm(r) <= tols[i]:
+            if math.sqrt(r.dot(r)) <= tols[i]:
                 out[i] = (W[i], jet if jet is not None else stack.row(rows[j]))
             else:
                 stepping.append(j)
@@ -324,6 +326,20 @@ def _central(field, w, dw, h) -> np.ndarray:
     return (hi - lo) / (2.0 * h)
 
 
+def _chart_step(w, step: float) -> float:
+    """A stencil's step at chart point w: ``step`` scaled by 1 + |w|."""
+    return step * (1.0 + float(np.linalg.norm(w)))
+
+
+def _direction_stencil(w, direction, step: float) -> tuple:
+    """(|direction|, h, dw) of the stencil w +- dw along ``direction``; dw is None for a zero direction."""
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return norm, None, None
+    h = _chart_step(w, step)
+    return norm, h, h * (direction / norm)
+
+
 def _axis_stencil(w0, step: float) -> np.ndarray:
     """The 2n points :func:`chart_matrix_derivative` evaluates its field at, bit for bit."""
     dw = step * np.eye(w0.size)
@@ -346,7 +362,10 @@ class FlatChart:
     with Newton's last jet, and its :class:`DomainSample` is built from that
     jet, so a chart point costs no jet beyond its Newton steps.  The chart
     also carries the fields the checks differentiate, in flat components,
-    and their chart derivatives.
+    and their chart derivatives.  :meth:`dir_points` and
+    :meth:`christoffel_points` give the points of the two derivative
+    stencils, so that a caller can hand many stencils to :meth:`points` as
+    one stack before it differentiates.
     """
 
     def __init__(self, ast: PrepotentialAst, seed_z):
@@ -357,6 +376,7 @@ class FlatChart:
         self.base = domain_sample(ast, seed, jet=self._seed_jet)
         self._points = {}
         self._samples = {}
+        self._gammas = {}
 
     def points(self, W) -> None:
         """Newton-invert, all at once, every chart point (row of W) not yet memoised.
@@ -431,25 +451,38 @@ class FlatChart:
         Yl = Y0 - (float(s.dk @ Y0) / denom) * s.xi
         return s.flat_jac @ Yl
 
+    @staticmethod
+    def dir_points(w, direction, step) -> list:
+        """The points :meth:`dir_deriv` evaluates its field at, bit for bit; none for a zero direction."""
+        _, _, dw = _direction_stencil(w, direction, step)
+        return [] if dw is None else [w + dw, w - dw]
+
     def dir_deriv(self, field, w, direction, step) -> np.ndarray:
         """Central difference of a chart field along ``direction``."""
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
+        norm, h, dw = _direction_stencil(w, direction, step)
+        if dw is None:
             return np.zeros_like(np.asarray(field(w), dtype=float))
-        h = step * (1.0 + float(np.linalg.norm(w)))
-        dw = h * (direction / norm)
         self.points([w + dw, w - dw])
         return _central(field, w, dw, h) * norm
 
+    @staticmethod
+    def christoffel_points(w, step=GAMMA_STEP) -> list:
+        """The centre and the 2·2m axis points :meth:`christoffel` evaluates g_flat at, bit for bit."""
+        return [w, *_axis_stencil(w, _chart_step(w, step))]
+
     def christoffel(self, w, step=GAMMA_STEP) -> np.ndarray:
-        """Gamma^c_{ab} of the cone metric in flat coordinates."""
-        h = step * (1.0 + float(np.linalg.norm(w)))
-        self.points([w, *_axis_stencil(w, h)])
-        dg = chart_matrix_derivative(self.g_flat, w, h)
-        g_inv = np.linalg.inv(self.g_flat(w))
-        # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
-        bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
-        return np.einsum("cd,dab->cab", 0.5 * g_inv, bracket)
+        """Gamma^c_{ab} of the cone metric in flat coordinates, memoised per chart point (read-only)."""
+        key = (w.tobytes(), step)
+        gamma = self._gammas.get(key)
+        if gamma is None:
+            self.points(self.christoffel_points(w, step))
+            dg = chart_matrix_derivative(self.g_flat, w, _chart_step(w, step))
+            g_inv = np.linalg.inv(self.g_flat(w))
+            # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
+            bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
+            gamma = self._gammas[key] = np.einsum("cd,dab->cab", 0.5 * g_inv, bracket)
+            gamma.flags.writeable = False
+        return gamma
 
     def lc_deriv(self, field, w, direction, gamma, step=FIELD_STEP) -> np.ndarray:
         """Levi-Civita directional derivative of a flat-components field."""
@@ -591,7 +624,7 @@ def antisymmetrized_chart_derivative(field, w0, step: float) -> float:
 def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
-    h = step * (1.0 + float(np.linalg.norm(w0)))
+    h = _chart_step(w0, step)
     chart.points(_axis_stencil(w0, h))
     return antisymmetrized_chart_derivative(chart.J_flat, w0, h)
 
@@ -599,7 +632,7 @@ def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
 def omega_parallel_residual(chart: FlatChart, step: float = 1e-4) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
-    h = step * (1.0 + float(np.linalg.norm(w0)))
+    h = _chart_step(w0, step)
     chart.points(_axis_stencil(w0, h))
     return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, h))))
 
@@ -612,7 +645,7 @@ def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
     omega and the position-field property of xi.
     """
     s0 = chart.base
-    h = step * (1.0 + float(np.linalg.norm(s0.flat)))
+    h = _chart_step(s0.flat, step)
     chart.points(_axis_stencil(s0.flat, h))
     D = chart_matrix_derivative(chart.eta_flat, s0.flat, h)  # D[a, b] = d_a eta_b
     d_eta = D - D.T

@@ -330,9 +330,8 @@ def _chk_warped_radial(ctx, idx, z):
 
 def _chk_warped_position(ctx, idx, z):
     sp = ctx.sphere(idx)
-    (X, Y), = ctx.tangent_pairs(idx, 1, salt=106)
-    _, w2 = cone_mod.warped_product_residuals(ctx.ast, sp, _WARPED_R, X, Y)
-    return w2
+    (X, _), = ctx.tangent_pairs(idx, 1, salt=106)
+    return cone_mod.warped_position_residual(ctx.ast, sp, _WARPED_R, X)
 
 
 def _chk_submersion(ctx, idx, z):
