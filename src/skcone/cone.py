@@ -370,11 +370,11 @@ def _position_residual(chart: FlatChart, r: float, X, step: float) -> float:
 
 
 def warped_position_residual(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X, step: float = FIELD_STEP) -> float:
+                             r: float, X) -> float:
     """nabla_{X~} xi = X~ at the scaled point r*u (xi is the flat position field)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    return _position_residual(FlatChart(ast, r * sphere.u), r, np.asarray(X, dtype=float), step)
+    return _position_residual(FlatChart(ast, r * sphere.u), r, np.asarray(X, dtype=float), FIELD_STEP)
 
 
 def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,

@@ -466,17 +466,17 @@ class FlatChart:
         return _central(field, w, dw, h) * norm
 
     @staticmethod
-    def christoffel_points(w, step=GAMMA_STEP) -> list:
+    def christoffel_points(w) -> list:
         """The centre and the 2·2m axis points :meth:`christoffel` evaluates g_flat at, bit for bit."""
-        return [w, *_axis_stencil(w, _chart_step(w, step))]
+        return [w, *_axis_stencil(w, _chart_step(w, GAMMA_STEP))]
 
-    def christoffel(self, w, step=GAMMA_STEP) -> np.ndarray:
+    def christoffel(self, w) -> np.ndarray:
         """Gamma^c_{ab} of the cone metric in flat coordinates, memoised per chart point (read-only)."""
-        key = (w.tobytes(), step)
+        key = w.tobytes()
         gamma = self._gammas.get(key)
         if gamma is None:
-            self.points(self.christoffel_points(w, step))
-            dg = chart_matrix_derivative(self.g_flat, w, _chart_step(w, step))
+            self.points(self.christoffel_points(w))
+            dg = chart_matrix_derivative(self.g_flat, w, _chart_step(w, GAMMA_STEP))
             g_inv = np.linalg.inv(self.g_flat(w))
             # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
             bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
