@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -20,7 +21,8 @@ from . import homogeneous as hom
 from . import projective as proj
 from . import verify as verify_mod
 from .errors import ParseError, SkconeError
-from .expr import check_homogeneity, max_or_nan, max_var_index, parse_prepotential, pretty
+from .expr import (PrepotentialAst, check_homogeneity, max_or_nan, max_var_index,
+                   parse_prepotential, pretty)
 
 
 def _parse_complex(text: str) -> complex:
@@ -35,9 +37,24 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array([_parse_complex(part) for part in text.split(",")], dtype=complex)
 
 
-def _infer_nvars(expr: str) -> int:
-    """One more than the highest variable index, from a parse over 4096 variables."""
-    return max_var_index(parse_prepotential(expr, 4096).root) + 1
+def _infer(expr: str) -> tuple:
+    """A parse over 4096 variables: the tree and one more than its highest variable index."""
+    root = parse_prepotential(expr, 4096).root
+    return root, max_var_index(root) + 1
+
+
+def _parse_expr(args) -> PrepotentialAst:
+    """``--expr`` over ``--nvars`` variables, or over the count it implies when that is omitted.
+
+    The text is parsed once either way: the parser uses the variable count
+    only to range-check indices, so the inferring parse already gives the tree.
+    """
+    if args.nvars:
+        return parse_prepotential(args.expr, args.nvars)
+    root, n_vars = _infer(args.expr)
+    if n_vars < 1:
+        raise ValueError("n_vars must be >= 1")
+    return PrepotentialAst(root, n_vars)
 
 
 def _emit(obj) -> None:
@@ -49,8 +66,8 @@ def _complex_list(vec) -> list:
 
 
 def _cmd_parse(args) -> int:
-    n_vars = args.nvars or _infer_nvars(args.expr)
-    ast = parse_prepotential(args.expr, n_vars)
+    ast = _parse_expr(args)
+    n_vars = ast.n_vars
     rng = np.random.default_rng(args.seed)
     samples = [
         rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
@@ -79,7 +96,7 @@ def _cmd_verify(args) -> int:
     else:
         if not args.expr or not args.point:
             raise ValueError("verify needs --config, or --expr with --point")
-        n_vars = args.nvars or _infer_nvars(args.expr)
+        n_vars = args.nvars or _infer(args.expr)[1]
         config = verify_mod.SuiteConfig(
             prepotential=args.expr,
             n_vars=n_vars,
@@ -106,8 +123,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sphere(args) -> int:
-    n_vars = args.nvars or _infer_nvars(args.expr)
-    ast = parse_prepotential(args.expr, n_vars)
+    ast = _parse_expr(args)
     sample = cone_mod.project_to_sphere(ast, _parse_point(args.point))
     _emit(
         {
@@ -125,13 +141,12 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_projective(args) -> int:
-    n_vars = args.nvars or _infer_nvars(args.expr)
-    ast = parse_prepotential(args.expr, n_vars)
+    ast = _parse_expr(args)
     u = _parse_point(args.point)
     dom = geo.domain_sample(ast, u)
     xi = dom.xi
     *basis_values, on_xi, on_jxi = proj.projective_metric_values(
-        dom, [*np.eye(2 * n_vars), xi, dom.J @ xi]
+        dom, [*np.eye(2 * ast.n_vars), xi, dom.J @ xi]
     )
     _emit(
         {
@@ -212,10 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first :func:`main` call, never at import.
+
+    Parsing neither mutates the parser nor its subparsers, so every call can
+    share it; :func:`build_parser` still returns a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -360,30 +360,26 @@ def fit_hamiltonian_sign(dim: int = 3) -> float:
     return float(np.sign(X_flat @ ref))
 
 
-def _position_residual(chart: FlatChart, r: float, X, step: float) -> float:
-    """|nabla_{X~} xi - X~| on the chart seeded at r*u, with X~ = r * X."""
+def warped_position_residual(ast: PrepotentialAst, sphere: SphereSample,
+                             r: float, X) -> float:
+    """|nabla_{X~} xi - X~| at the scaled point r*u, with X~ = r * X (xi is the flat position field)."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    X = np.asarray(X, dtype=float)
+    chart = FlatChart(ast, r * sphere.u)
     dom_p = chart.base
-    Xt_flat = dom_p.flat_jac @ (r * X)
-    D = chart.dir_deriv(chart.xi_flat, dom_p.flat, Xt_flat, step)
+    D = chart.dir_deriv(chart.xi_flat, dom_p.flat, dom_p.flat_jac @ (r * X), FIELD_STEP)
     V = np.linalg.solve(dom_p.flat_jac, D)
     return float(np.linalg.norm(V - r * X))
 
 
-def warped_position_residual(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X) -> float:
-    """nabla_{X~} xi = X~ at the scaled point r*u (xi is the flat position field)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return _position_residual(FlatChart(ast, r * sphere.u), r, np.asarray(X, dtype=float), FIELD_STEP)
-
-
 def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X, Y, step: float = FIELD_STEP) -> tuple:
-    """Radial (warped product) identities at the scaled point r*u.
+                             r: float, X, Y, step: float = FIELD_STEP) -> float:
+    """Radial (warped product) identity at the scaled point r*u.
 
-    w1: nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the
-        Gauss data at u, for the homogeneous extensions X~(ru) = r X(u).
-    w2: :func:`warped_position_residual`, on the same chart.
+    nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the Gauss
+    data at u, for the homogeneous extensions X~(ru) = r X(u).  The position
+    identity at ru is :func:`warped_position_residual`.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -405,5 +401,4 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
     V = np.linalg.solve(dom_p.flat_jac, D)
     split = gauss_split(ast, sphere, X, Y)
     rhs = r * (split.tangential + split.normal_coeff * sphere.E)
-    w1 = float(np.linalg.norm(V - rhs))
-    return w1, _position_residual(chart, r, X, step)
+    return float(np.linalg.norm(V - rhs))

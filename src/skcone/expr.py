@@ -626,25 +626,35 @@ class HomogeneityReport:
 def check_homogeneity(ast: PrepotentialAst, samples, scales) -> HomogeneityReport:
     """Residuals of F(lam*z) = lam^2 F(z) and sum_i z_i dF/dz_i = 2F.
 
-    Singular samples are skipped and reported in ``skipped``.
+    The samples are evaluated as one order-1 stack, and their scaled points
+    ``lam * z`` as one order-0 stack per scale.  A sample whose own point is
+    singular contributes nothing; one whose point at some scale is singular
+    keeps its Euler residual and those of the scales before it.  Either way
+    it is reported once in ``skipped``.
     """
     scale_res = 0.0
     euler_res = 0.0
     skipped = []
-    for idx, z in enumerate(samples):
-        z = np.asarray(z, dtype=complex)
-        try:
-            jet = eval_jet(ast, z, 1)
-            f_z = jet.value
-            euler = abs(np.dot(z, jet.deriv(1)) - 2.0 * f_z) / (1.0 + abs(2.0 * f_z))
-            euler_res = max_or_nan(euler_res, euler)
-            for lam in scales:
-                f_scaled = eval_jet(ast, lam * z, 0).value
-                ref = lam * lam * f_z
-                scale_res = max_or_nan(scale_res, abs(f_scaled - ref) / (1.0 + abs(ref)))
-        except EvaluationSingularity:
+    zs = [np.asarray(z, dtype=complex) for z in samples]
+    if not zs:
+        return HomogeneityReport(scale_res, euler_res, ())
+    base = eval_jet(ast, np.stack(zs), 1)
+    scaled = [eval_jet(ast, np.stack([lam * z for z in zs]), 0) for lam in scales]
+    for idx, z in enumerate(zs):
+        if idx in base.singular:
             skipped.append(idx)
             continue
+        jet = base.row(idx)
+        f_z = jet.value
+        euler = abs(np.dot(z, jet.deriv(1)) - 2.0 * f_z) / (1.0 + abs(2.0 * f_z))
+        euler_res = max_or_nan(euler_res, euler)
+        for lam, stack in zip(scales, scaled):
+            if idx in stack.singular:
+                skipped.append(idx)
+                break
+            f_scaled = complex(stack.value[idx])
+            ref = lam * lam * f_z
+            scale_res = max_or_nan(scale_res, abs(f_scaled - ref) / (1.0 + abs(ref)))
     return HomogeneityReport(scale_res, euler_res, tuple(skipped))
 
 

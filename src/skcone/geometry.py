@@ -314,6 +314,11 @@ def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50
     """Newton-invert the flat coordinate map near ``z_init``.
 
     Returns z with |flat(z) - target| <= 1e-12 * (1 + |target|).
+
+    The one-row form of the stacked Newton loop, kept as the oracle that
+    tests and the benchmark invert single points with; the checks invert
+    their stencil points in stacks through :class:`FlatChart`, so a one-row
+    call pays that loop's per-step bookkeeping and no suite or query calls it.
     """
     w0 = to_real(np.asarray(z_init, dtype=complex))
     return to_complex(_inverted(_newton(ast, [target], w0, None, max_steps)[0])[0])

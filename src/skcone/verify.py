@@ -324,8 +324,7 @@ def _chk_hamiltonian(ctx, idx, z):
 def _chk_warped_radial(ctx, idx, z):
     sp = ctx.sphere(idx)
     (X, Y), = ctx.tangent_pairs(idx, 1, salt=105)
-    w1, _ = cone_mod.warped_product_residuals(ctx.ast, sp, _WARPED_R, X, Y)
-    return w1
+    return cone_mod.warped_product_residuals(ctx.ast, sp, _WARPED_R, X, Y)
 
 
 def _chk_warped_position(ctx, idx, z):

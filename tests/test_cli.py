@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skcone import cli
 from skcone import geometry as geo
 from skcone import projective as proj
 from skcone.cli import main
@@ -257,12 +258,78 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_import_builds_no_cached_table():
     """Constant tables are built on first use, so importing the CLI stays cheap."""
     code = (
-        "import skcone.cli, skcone.homogeneous as h, skcone.projective as p, "
+        "import skcone.cli as c, skcone.homogeneous as h, skcone.projective as p, "
         "skcone.expr as e, skcone.geometry as g; "
         "tables = (h._form3_table, h._star_table, h._wedge_data, p.fs_prepotential, "
-        "e._shuffles, e._zeros, e._unit, g._complex_structure_table); "
-        "assert [t.cache_info().currsize for t in tables] == [0] * 8"
+        "e._shuffles, e._zeros, e._unit, g._complex_structure_table, c._parser); "
+        "assert [t.cache_info().currsize for t in tables] == [0] * 9"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+# An argparse error, help, valid queries and a command error, in one sequence.
+MIXED_ARGV = [
+    ["sphere", "--bogus"],
+    ["--help"],
+    ["sphere", "--expr", "z1*z2*z3/z0", "--point", "1,i,i,i"],
+    ["quartic", "--case", "G", "--coeffs", "1,0,0,1"],
+    ["quartic", "--case", "Q", "--coeffs", "1"],
+    ["parse", "--help"],
+    ["parse", "--expr", "z1*z2*z3/z0", "--seed", "3"],
+    ["projective", "--expr", "i*(z0^2 + z1^2)", "--point", "1,0.2"],
+    ["sphere", "--expr", "i*2", "--point", "1"],
+    [],
+    ["quartic", "--case", "A", "--coeffs", "1,2,3,4"],
+]
+
+
+def _run_all(capsys, argvs):
+    return [run_cli(capsys, *argv) for argv in argvs]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        codes = [code for code, _, _ in _run_all(capsys, MIXED_ARGV * 2)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert codes == [2, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0] * 2
+    assert real() is not real()
+
+
+def test_warm_parser_gives_the_bytes_of_a_fresh_one(monkeypatch, capsys):
+    warm = _run_all(capsys, MIXED_ARGV)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+    fresh = _run_all(capsys, MIXED_ARGV)
+    assert warm == fresh
+    assert warm[1][1].startswith("usage: skcone") and "invalid choice" in warm[4][2]
+
+
+def test_inferred_nvars_parses_the_expression_once(monkeypatch, capsys):
+    parses = []
+    real = cli.parse_prepotential
+
+    def counting(text, n_vars):
+        parses.append(n_vars)
+        return real(text, n_vars)
+
+    monkeypatch.setattr(cli, "parse_prepotential", counting)
+    code, _, _ = run_cli(capsys, "sphere", "--expr", "z1*z2*z3/z0", "--point", "1,i,i,i")
+    assert code == 0 and parses == [4096]
+    code, _, _ = run_cli(capsys, "sphere", "--expr", "z1*z2*z3/z0", "--nvars", "4", "--point", "1,i,i,i")
+    assert code == 0 and parses == [4096, 4]

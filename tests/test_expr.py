@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skcone.errors import EvaluationSingularity, ParseError
+from skcone import expr
 from skcone.expr import (
+    HomogeneityReport,
     Lit,
     Neg,
     Power,
@@ -358,6 +360,83 @@ def test_singular_samples_are_flagged(stu):
     rep = check_homogeneity(stu, samples, [2.0])
     assert rep.skipped == (0,)
     assert rep.euler_residual < 1e-12
+
+
+def _homogeneity_per_sample(ast, samples, scales):
+    """The reference: one order-1 jet per sample and one order-0 jet per sample and scale."""
+    scale_res = 0.0
+    euler_res = 0.0
+    skipped = []
+    for idx, z in enumerate(samples):
+        z = np.asarray(z, dtype=complex)
+        try:
+            jet = eval_jet(ast, z, 1)
+            f_z = jet.value
+            euler = abs(np.dot(z, jet.deriv(1)) - 2.0 * f_z) / (1.0 + abs(2.0 * f_z))
+            euler_res = max_or_nan(euler_res, euler)
+            for lam in scales:
+                f_scaled = eval_jet(ast, lam * z, 0).value
+                ref = lam * lam * f_z
+                scale_res = max_or_nan(scale_res, abs(f_scaled - ref) / (1.0 + abs(ref)))
+        except EvaluationSingularity:
+            skipped.append(idx)
+    return HomogeneityReport(scale_res, euler_res, tuple(skipped))
+
+
+POLE = "z1^3/z0 - 2*z0*z1"
+
+
+def _samples(n, count, seed):
+    gen = np.random.default_rng(seed)
+    return [gen.standard_normal(n) + 1j * gen.standard_normal(n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("text, n, extra", [
+    ("i*(z0^2 + z1^2)", 2, []),
+    ("z1*z2*z3/z0", 4, []),
+    # a base point on the pole, and a point only the scale 1e-151 takes onto it
+    (POLE, 2, [np.array([0.0, 1.0 + 1j]), np.array([1e-150, 0.5j])]),
+])
+def test_stacked_homogeneity_equals_the_per_sample_loop(text, n, extra):
+    ast = parse_prepotential(text, n)
+    samples = _samples(n, 5, seed=n)
+    samples[1:1] = extra
+    for scales in ([2.0, 0.5 - 1.5j], [2.0, 1e-151], [1 + 1j], []):
+        assert check_homogeneity(ast, samples, scales) == _homogeneity_per_sample(ast, samples, scales)
+
+
+def test_a_later_singular_scale_keeps_the_earlier_residuals():
+    ast = parse_prepotential(POLE, 2)
+    on_pole_at_second_scale = [np.array([1e-150, 0.5j])]
+    first = check_homogeneity(ast, on_pole_at_second_scale, [2.0])
+    assert first.skipped == () and np.isfinite(first.euler_residual)
+    rep = check_homogeneity(ast, on_pole_at_second_scale, [2.0, 1e-151, 3.0])
+    assert rep == HomogeneityReport(first.scale_residual, first.euler_residual, (0,))
+    assert check_homogeneity(ast, [np.array([0.0, 1.0])], [2.0]) == HomogeneityReport(0.0, 0.0, (0,))
+
+
+def test_stacked_homogeneity_keeps_a_nan_sample():
+    ast = parse_prepotential(POLE, 2)
+    samples = [*_samples(2, 3, seed=7), np.array([1.0, np.nan])]
+    got = check_homogeneity(ast, samples, [2.0])
+    assert np.isnan(got.euler_residual) and np.isnan(got.scale_residual) and got.skipped == ()
+    assert repr(got) == repr(_homogeneity_per_sample(ast, samples, [2.0]))
+
+
+def test_homogeneity_evaluates_one_stack_per_order_and_scale(monkeypatch):
+    ast = parse_prepotential(POLE, 2)
+    calls = []
+    real = expr.eval_jet
+
+    def counting(ast, z, order):
+        calls.append((order, np.shape(z)))
+        return real(ast, z, order)
+
+    monkeypatch.setattr(expr, "eval_jet", counting)
+    samples = [*_samples(2, 7, seed=3), np.array([0.0, 1.0])]
+    scales = (2.0, 1.0 + 0.7j, 3.0)
+    check_homogeneity(ast, samples, scales)
+    assert calls == [(1, (8, 2))] + [(0, (8, 2))] * len(scales)
 
 
 # ---------------------------------------------------------------------------

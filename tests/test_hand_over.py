@@ -89,11 +89,9 @@ def test_mean_curvature_makes_one_newton_stack(stu, sphere, newton_rows):
 
 
 def test_warped_position_is_one_two_point_stencil(stu, sphere, newton_rows, monkeypatch):
-    X, Y = _pairs(sphere, 1)[0]
-    _, w2 = cone.warped_product_residuals(stu, sphere, 2.5, X, Y)
-    newton_rows.clear()
+    X, _ = _pairs(sphere, 1)[0]
     monkeypatch.setattr(cone, "gauss_split", None)  # the position identity needs no Gauss split
-    assert cone.warped_position_residual(stu, sphere, 2.5, X) == w2
+    assert cone.warped_position_residual(stu, sphere, 2.5, X) < 1e-6
     assert newton_rows == [2]
     with pytest.raises(ValueError):
         cone.warped_position_residual(stu, sphere, 0.0, X)

@@ -1,20 +1,24 @@
-"""The benchmark's correctness gate, replayed on one seed.
+"""The benchmark's correctness gates, replayed on one seed each.
 
 ``perfbench/run.py`` fails a ``suite_stu`` run when any (id, sample)
 pass/fail outcome differs from ``perfbench/inputs.json`` (a known failure
 that starts to pass counts too), or when two reports written in one process
 differ.  Seed 9 holds a known failure: a stencil point that stops 12% under
 Newton's exit tolerance, so it is where a drift in chart arithmetic shows
-first.  This test reads ``inputs.json`` and writes nothing under
-``perfbench/``.
+first.  A ``point_queries`` run fails when any query's exit code or output
+misses its check.  These tests read ``inputs.json`` and ``run.py`` and write
+nothing under ``perfbench/``.
 """
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from skcone import cli
 
-INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+INPUTS = PERFBENCH / "inputs.json"
 SEED = 9
 
 
@@ -35,3 +39,19 @@ def test_suite_stu_seed_9_replays_the_benchmark_gate(tmp_path, capsys):
         assert got == expected
     assert reports[0] == reports[1]
     capsys.readouterr()
+
+
+def test_point_queries_replays_the_benchmark_gate(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    units = run.QueryWorkload(seed=1).units()
+    for _ in range(2):
+        block = next(units)
+        assert len(block) == run.QueryWorkload.unit_size == 56
+        for argv, check in block:
+            code, _, stdout = run.run_cli(cli, argv)
+            assert run._checked(check, code, stdout)[:2] == (1, 0), argv
