@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import DegenerateMetric, InadmissiblePoint, SkconeError
 from .expr import PrepotentialAst, max_or_nan
-# invert_flat_coords is not used here; it stays in this module's namespace,
-# whose bindings perfbench/selftest.py checks.
+# domain_sample and invert_flat_coords are not used here (a sphere's chart
+# builds its domain sample); they stay in this module's namespace, whose
+# bindings perfbench/selftest.py checks.
 from .geometry import (  # noqa: F401
     FIELD_STEP,
     DomainSample,
@@ -51,7 +52,11 @@ class SphereSample:
     sigma: np.ndarray    # J xi
     eta: np.ndarray      # contact covector omega(xi, .)
     g_ind: np.ndarray    # induced metric on the frame
-    domain: DomainSample
+    chart: FlatChart     # the flat chart seeded at u, which every residual at u runs on
+
+    @property
+    def domain(self) -> DomainSample:
+        return self.chart.base
 
     @property
     def m(self) -> int:
@@ -83,7 +88,8 @@ def project_to_sphere(ast: PrepotentialAst, z) -> SphereSample:
         raise InadmissiblePoint("cannot project a point with k = 0 onto S")
     r = (2.0 * abs(k)) ** -0.5
     u = r * z
-    dom = domain_sample(ast, u)
+    chart = FlatChart(ast, u)
+    dom = chart.base
     kappa = 1 if dom.k > 0 else -1
     frame = _householder_complement(dom.dk)
     xi = dom.xi
@@ -92,7 +98,7 @@ def project_to_sphere(ast: PrepotentialAst, z) -> SphereSample:
     eta = dom.eta()
     g_ind = frame @ dom.g @ frame.T
     return SphereSample(u=u, kappa=kappa, frame=frame, E=E, sigma=sigma,
-                        eta=eta, g_ind=g_ind, domain=dom)
+                        eta=eta, g_ind=g_ind, chart=chart)
 
 
 def random_tangent(sphere: SphereSample, rng) -> np.ndarray:
@@ -107,8 +113,7 @@ def random_tangent(sphere: SphereSample, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
-                step: float = FIELD_STEP) -> GaussSplit:
+def gauss_split(sphere: SphereSample, X, Y, step: float = FIELD_STEP) -> GaussSplit:
     """Split nabla_X Y along ker dk + span(E).
 
     Y is extended off S by level-set projection; its flat components are
@@ -116,7 +121,7 @@ def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
     coefficient should reproduce g(X, Y): that is the affine-sphere claim.
     """
     dom = sphere.domain
-    chart = FlatChart(ast, dom.z)
+    chart = sphere.chart
     w0 = dom.flat
     Y0 = np.asarray(Y, dtype=float)
     X_flat = dom.flat_jac @ np.asarray(X, dtype=float)
@@ -130,35 +135,33 @@ def gauss_split(ast: PrepotentialAst, sphere: SphereSample, X, Y,
     return GaussSplit(tangential=tangential, normal_coeff=coeff)
 
 
-def _shape_operator(chart: FlatChart, sphere: SphereSample, T,
-                    step: float = FIELD_STEP) -> np.ndarray:
+def _shape_operator(sphere: SphereSample, T) -> np.ndarray:
     """A(T) = -nabla_T E for the Blaschke normal E = -kappa * xi."""
     dom = sphere.domain
+    chart = sphere.chart
     kappa = float(sphere.kappa)
-    D = chart.dir_deriv(lambda w: -kappa * chart.xi_flat(w), dom.flat, dom.flat_jac @ T, step)
+    D = chart.dir_deriv(lambda w: -kappa * chart.xi_flat(w), dom.flat, dom.flat_jac @ T, FIELD_STEP)
     return -np.linalg.solve(dom.flat_jac, D)
 
 
-def shape_residual(ast: PrepotentialAst, sphere: SphereSample, X,
-                   step: float = FIELD_STEP) -> float:
+def shape_residual(sphere: SphereSample, X) -> float:
     """|(-nabla_X E) - kappa X|: the shape tensor is kappa * Id."""
     X = np.asarray(X, dtype=float)
-    A_X = _shape_operator(FlatChart(ast, sphere.domain.z), sphere, X, step)
-    return float(np.linalg.norm(A_X - float(sphere.kappa) * X))
+    return float(np.linalg.norm(_shape_operator(sphere, X) - float(sphere.kappa) * X))
 
 
-def mean_curvature_residual(ast: PrepotentialAst, sphere: SphereSample) -> float:
+def mean_curvature_residual(sphere: SphereSample) -> float:
     """|trace(A)/(2n+1) - kappa| over the Euclidean-orthonormal frame."""
     dom = sphere.domain
-    chart = FlatChart(ast, dom.z)
+    chart = sphere.chart
     chart.points([w for T in sphere.frame for w in chart.dir_points(dom.flat, dom.flat_jac @ T, FIELD_STEP)])
     trace = 0.0
     for T in sphere.frame:
-        trace += float(T @ _shape_operator(chart, sphere, T))
+        trace += float(T @ _shape_operator(sphere, T))
     return abs(trace / sphere.frame.shape[0] - float(sphere.kappa))
 
 
-def blaschke_volume_residual(ast: PrepotentialAst, sphere: SphereSample) -> float:
+def blaschke_volume_residual(sphere: SphereSample) -> float:
     """Equiaffine volume normalization of the Blaschke normal.
 
     Compares |det_flat(E, frame)| converted to the metric volume of the
@@ -237,7 +240,7 @@ def _hand_over_sasaki_stencils(chart: FlatChart, dom: DomainSample, vectors) -> 
     chart.points(second)
 
 
-def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> SasakiResiduals:
+def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
     """Residuals of the Sasaki identities for sigma = J xi on S.
 
     killing    Killing equation for sigma against the Levi-Civita connection
@@ -249,7 +252,7 @@ def sasaki_residuals(ast: PrepotentialAst, sphere: SphereSample, pairs) -> Sasak
     (see :func:`_hand_over_sasaki_stencils`), so they read memoised points.
     """
     dom = sphere.domain
-    chart = FlatChart(ast, dom.z)
+    chart = sphere.chart
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
@@ -338,8 +341,8 @@ def _hamiltonian_field(sphere: SphereSample, potential=None) -> tuple:
     return X_flat, 2.0 * dom.k * (dom.flat_jac @ sphere.sigma)
 
 
-def hamiltonian_field_residual(ast: PrepotentialAst, sphere: SphereSample,
-                               potential=None, sign: float = HAMILTONIAN_SIGN) -> float:
+def hamiltonian_field_residual(sphere: SphereSample, potential=None,
+                               sign: float = HAMILTONIAN_SIGN) -> float:
     """Residual of sigma against the Hamiltonian field of k^2 on S.
 
     The field X solves iota_X omega_can = d(potential) in flat coordinates,
@@ -360,21 +363,19 @@ def fit_hamiltonian_sign(dim: int = 3) -> float:
     return float(np.sign(X_flat @ ref))
 
 
-def warped_position_residual(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X) -> float:
+def warped_position_residual(sphere: SphereSample, r: float, X) -> float:
     """|nabla_{X~} xi - X~| at the scaled point r*u, with X~ = r * X (xi is the flat position field)."""
     if r <= 0:
         raise ValueError("r must be positive")
     X = np.asarray(X, dtype=float)
-    chart = FlatChart(ast, r * sphere.u)
+    chart = FlatChart(sphere.chart.ast, r * sphere.u)
     dom_p = chart.base
     D = chart.dir_deriv(chart.xi_flat, dom_p.flat, dom_p.flat_jac @ (r * X), FIELD_STEP)
     V = np.linalg.solve(dom_p.flat_jac, D)
     return float(np.linalg.norm(V - r * X))
 
 
-def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
-                             r: float, X, Y, step: float = FIELD_STEP) -> float:
+def warped_product_residuals(sphere: SphereSample, r: float, X, Y) -> float:
     """Radial (warped product) identity at the scaled point r*u.
 
     nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the Gauss
@@ -385,7 +386,7 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
         raise ValueError("r must be positive")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    chart = FlatChart(ast, r * sphere.u)
+    chart = FlatChart(sphere.chart.ast, r * sphere.u)
     dom_p = chart.base
     wp = dom_p.flat
     Xt_flat = dom_p.flat_jac @ (r * X)
@@ -397,8 +398,8 @@ def warped_product_residuals(ast: PrepotentialAst, sphere: SphereSample,
         Yl = Y - (float(s.dk @ Y) / denom) * s.xi
         return s.flat_jac @ (scale * Yl)
 
-    D = chart.dir_deriv(y_homog_flat, wp, Xt_flat, step)
+    D = chart.dir_deriv(y_homog_flat, wp, Xt_flat, FIELD_STEP)
     V = np.linalg.solve(dom_p.flat_jac, D)
-    split = gauss_split(ast, sphere, X, Y)
+    split = gauss_split(sphere, X, Y)
     rhs = r * (split.tangential + split.normal_coeff * sphere.E)
     return float(np.linalg.norm(V - rhs))

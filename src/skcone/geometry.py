@@ -35,6 +35,7 @@ K_MIN_DEFAULT = 1e-8
 DET_RTOL = 1e-12
 FIELD_STEP = 1e-5   # first derivatives of fields along the chart
 GAMMA_STEP = 1e-4   # derivatives of the pushforward of g (Christoffels)
+CHART_STEP = 1e-4   # the domain checks' stencils along the flat chart
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +56,12 @@ def to_complex(w) -> np.ndarray:
     return w[..., :m] + 1j * w[..., m:]
 
 
+@cache
 def complex_structure(m: int) -> np.ndarray:
-    """The constant real matrix of multiplication by i."""
+    """The constant real matrix of multiplication by i, built once per m and shared read-only."""
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = -np.eye(m)
     J[m:, :m] = np.eye(m)
-    return J
-
-
-@cache
-def _complex_structure_table(m: int) -> np.ndarray:
-    """:func:`complex_structure`, built once per m and shared read-only."""
-    J = complex_structure(m)
     J.flags.writeable = False
     return J
 
@@ -204,17 +199,11 @@ def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
     omega = np.zeros((2 * m, 2 * m))
     omega[:m, m:] = 0.5 * N
     omega[m:, :m] = -0.5 * N
-    J = _complex_structure_table(m)
+    J = complex_structure(m)
 
     flat = np.concatenate([z.real, f1.real])
     return DomainSample(z=z, k=k, dk=dk, h=N.astype(complex), g=g, omega=omega,
                         J=J, flat=flat, flat_jac=_flat_jacobian(tau))
-
-
-def parabolic_immersion(ast: PrepotentialAst, z) -> np.ndarray:
-    """The graph immersion (x, y, k) realizing the domain as a hypersurface."""
-    s = domain_sample(ast, z)
-    return np.concatenate([s.flat, [s.k]])
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +512,15 @@ def flat_hessian_of_k(ast: PrepotentialAst, z) -> np.ndarray:
     return jac_inv.T @ corrected @ jac_inv
 
 
-def flat_hessian_fd(ast: PrepotentialAst, z, step: float = 1e-4) -> np.ndarray:
-    """Finite-difference oracle for :func:`flat_hessian_of_k`.
+def flat_hessian_fd(chart: FlatChart) -> np.ndarray:
+    """Finite-difference oracle for :func:`flat_hessian_of_k` at the chart's seed.
 
     Central second differences of k along the flat chart, with every chart
-    point Newton-inverted through a :class:`FlatChart` seeded at z.
+    point Newton-inverted through ``chart``.
     """
-    chart = FlatChart(ast, z)
     w0 = chart.base.flat
     n = w0.size
-    e = step * np.eye(n)
+    e = CHART_STEP * np.eye(n)
     plus, minus = w0 + e, w0 - e
     cross = {(a, b): (plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b])
              for a in range(n) for b in range(a + 1, n)}
@@ -542,10 +530,10 @@ def flat_hessian_fd(ast: PrepotentialAst, z, step: float = 1e-4) -> np.ndarray:
     k0 = k_at(w0)
     H = np.zeros((n, n))
     for a in range(n):
-        H[a, a] = (k_at(plus[a]) - 2.0 * k0 + k_at(minus[a])) / step**2
+        H[a, a] = (k_at(plus[a]) - 2.0 * k0 + k_at(minus[a])) / CHART_STEP**2
         for b in range(a + 1, n):
             pp, pm, mp, mm = cross[a, b]
-            H[a, b] = H[b, a] = (k_at(pp) - k_at(pm) - k_at(mp) + k_at(mm)) / (4.0 * step**2)
+            H[a, b] = H[b, a] = (k_at(pp) - k_at(pm) - k_at(mp) + k_at(mm)) / (4.0 * CHART_STEP**2)
     return H
 
 
@@ -559,11 +547,6 @@ class MongeAmpereReport:
     values: tuple
     rel_spread: float
     skipped: tuple
-
-
-def monge_ampere_spread(ast: PrepotentialAst, samples) -> MongeAmpereReport:
-    """|det| of the flat Hessian of k over samples, and its relative spread."""
-    return det_spread(lambda z: flat_hessian_of_k(ast, z), samples)
 
 
 def det_spread(hessian_of, points) -> MongeAmpereReport:
@@ -626,23 +609,23 @@ def antisymmetrized_chart_derivative(field, w0, step: float) -> float:
     return float(np.max(np.abs(anti)))
 
 
-def dnabla_J_residual(chart: FlatChart, step: float = 1e-4) -> float:
+def dnabla_J_residual(chart: FlatChart) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
-    h = _chart_step(w0, step)
+    h = _chart_step(w0, CHART_STEP)
     chart.points(_axis_stencil(w0, h))
     return antisymmetrized_chart_derivative(chart.J_flat, w0, h)
 
 
-def omega_parallel_residual(chart: FlatChart, step: float = 1e-4) -> float:
+def omega_parallel_residual(chart: FlatChart) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
-    h = _chart_step(w0, step)
+    h = _chart_step(w0, CHART_STEP)
     chart.points(_axis_stencil(w0, h))
     return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, h))))
 
 
-def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
+def d_eta_residual(chart: FlatChart) -> float:
     """Residual of d(eta) = 2*omega in the flat chart.
 
     eta = omega(xi, .) is realized as a chart covector field through the
@@ -650,7 +633,7 @@ def d_eta_residual(chart: FlatChart, step: float = 1e-4) -> float:
     omega and the position-field property of xi.
     """
     s0 = chart.base
-    h = _chart_step(s0.flat, step)
+    h = _chart_step(s0.flat, CHART_STEP)
     chart.points(_axis_stencil(s0.flat, h))
     D = chart_matrix_derivative(chart.eta_flat, s0.flat, h)  # D[a, b] = d_a eta_b
     d_eta = D - D.T

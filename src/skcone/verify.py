@@ -192,7 +192,7 @@ class _Context:
         return np.random.default_rng([self.config.seed, salt, idx])
 
     def chart(self, idx: int):
-        """Flat chart seeded at sample idx, shared by the chart stencil checks."""
+        """Flat chart seeded at sample idx, shared by the chart stencil checks and the FD Hessian oracle."""
         if idx not in self._charts:
             self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
         return self._charts[idx]
@@ -232,10 +232,16 @@ class _Context:
 
     def sasaki(self, idx: int):
         if idx not in self._sasaki:
-            self._sasaki[idx] = cone_mod.sasaki_residuals(
-                self.ast, self.sphere(idx), self.tangent_pairs(idx, 2)
-            )
+            self._sasaki[idx] = cone_mod.sasaki_residuals(self.sphere(idx), self.tangent_pairs(idx, 2))
         return self._sasaki[idx]
+
+    def release(self, idx: int) -> None:
+        """Drop sample idx's sphere (with its chart), Sasaki residuals, chart and Lemma 1 residuals.
+
+        The flat Hessians stay, for ``eq.ma.spread``.
+        """
+        for memo in (self._spheres, self._sasaki, self._charts, self._lemma1):
+            memo.pop(idx, None)
 
     def is_fs(self) -> bool:
         return self.signature is not None and np.all(self.signature == 1.0)
@@ -273,7 +279,7 @@ def _chk_npotential(ctx, idx, z):
 
 def _chk_hessian_oracle(ctx, idx, z):
     H = ctx.flat_hessian(idx)
-    Hfd = geo.flat_hessian_fd(ctx.ast, z)
+    Hfd = geo.flat_hessian_fd(ctx.chart(idx))
     return float(np.max(np.abs(H - Hfd))) / max(1.0, float(np.max(np.abs(H))))
 
 
@@ -296,7 +302,7 @@ def _chk_gauss(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
     for X, Y in ctx.tangent_pairs(idx, 2, salt=103):
-        split = cone_mod.gauss_split(ctx.ast, sp, X, Y)
+        split = cone_mod.gauss_split(sp, X, Y)
         worst = max_or_nan(worst, abs(split.normal_coeff - sp.domain.g_form(X, Y)))
     return worst
 
@@ -305,32 +311,32 @@ def _chk_shape(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=104):
-        worst = max_or_nan(worst, cone_mod.shape_residual(ctx.ast, sp, X))
+        worst = max_or_nan(worst, cone_mod.shape_residual(sp, X))
     return worst
 
 
 def _chk_mean_curvature(ctx, idx, z):
-    return cone_mod.mean_curvature_residual(ctx.ast, ctx.sphere(idx))
+    return cone_mod.mean_curvature_residual(ctx.sphere(idx))
 
 
 def _chk_volume(ctx, idx, z):
-    return cone_mod.blaschke_volume_residual(ctx.ast, ctx.sphere(idx))
+    return cone_mod.blaschke_volume_residual(ctx.sphere(idx))
 
 
 def _chk_hamiltonian(ctx, idx, z):
-    return cone_mod.hamiltonian_field_residual(ctx.ast, ctx.sphere(idx))
+    return cone_mod.hamiltonian_field_residual(ctx.sphere(idx))
 
 
 def _chk_warped_radial(ctx, idx, z):
     sp = ctx.sphere(idx)
     (X, Y), = ctx.tangent_pairs(idx, 1, salt=105)
-    return cone_mod.warped_product_residuals(ctx.ast, sp, _WARPED_R, X, Y)
+    return cone_mod.warped_product_residuals(sp, _WARPED_R, X, Y)
 
 
 def _chk_warped_position(ctx, idx, z):
     sp = ctx.sphere(idx)
     (X, _), = ctx.tangent_pairs(idx, 1, salt=106)
-    return cone_mod.warped_position_residual(ctx.ast, sp, _WARPED_R, X)
+    return cone_mod.warped_position_residual(sp, _WARPED_R, X)
 
 
 def _chk_submersion(ctx, idx, z):
@@ -400,11 +406,7 @@ def _agg_sigma_xq(ctx):
 
     worst = 0.0
     for idx in range(len(ctx.samples)):
-        sp = ctx.sphere(idx)
-        worst = max_or_nan(
-            worst,
-            cone_mod.hamiltonian_field_residual(ctx.ast, sp, potential=potential),
-        )
+        worst = max_or_nan(worst, cone_mod.hamiltonian_field_residual(ctx.sphere(idx), potential=potential))
     return {"samples": len(ctx.samples)}, worst
 
 
@@ -568,41 +570,44 @@ class VerificationReport:
         return bool(self.summary["all_pass"])
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Execute the selected checks, never aborting on individual errors."""
-    ctx = _Context(config)
-    profile = config.tolerances
-    selected = CHECK_IDS if config.checks is None else config.checks
-    explicit = config.checks is not None
+def _result(cid: str, tol: float, point: dict, run) -> CheckResult:
+    """The result of one check run: ``run()`` gives (more point info, residual); an error fails it."""
+    try:
+        info, residual = run()
+        residual = float(residual)
+    except _CHECK_ERRORS as exc:
+        return CheckResult(cid, {**point, "error": f"{type(exc).__name__}: {exc}"}, None, tol, False)
+    return CheckResult(cid, {**point, **info}, residual, tol, residual <= tol)
 
-    results = []
+
+def run_suite(config: SuiteConfig) -> VerificationReport:
+    """Execute the selected checks, never aborting on individual errors.
+
+    The per-sample checks run sample by sample, and a sample's spheres and
+    charts are dropped once its checks are done; the aggregate and global
+    checks run after.
+    """
+    ctx = _Context(config)
+    selected = CHECK_IDS if config.checks is None else config.checks
+
+    results, per_sample, whole = [], [], []
     for cid in selected:
         check = _REGISTRY[cid]
-        tol = _tolerance_of(check.tolerance, profile)
+        tol = _tolerance_of(check.tolerance, config.tolerances)
         if not check.applicable(ctx):
-            if explicit:
+            if config.checks is not None:
                 results.append(CheckResult(cid, {"error": "check not applicable to this configuration"},
                                            None, tol, False))
-            continue
-        if check.kind in ("domain", "sphere"):
-            count = len(ctx.samples) if check.cap is None else min(check.cap, len(ctx.samples))
-            for idx in range(count):
-                z = ctx.samples[idx]
-                info = _point_info(idx, z)
-                try:
-                    residual = float(check.runner(ctx, idx, z))
-                    results.append(CheckResult(cid, info, residual, tol, residual <= tol))
-                except _CHECK_ERRORS as exc:
-                    info["error"] = f"{type(exc).__name__}: {exc}"
-                    results.append(CheckResult(cid, info, None, tol, False))
         else:
-            try:
-                info, residual = check.runner(ctx)
-                residual = float(residual)
-                results.append(CheckResult(cid, info, residual, tol, residual <= tol))
-            except _CHECK_ERRORS as exc:
-                results.append(CheckResult(cid, {"error": f"{type(exc).__name__}: {exc}"},
-                                           None, tol, False))
+            (per_sample if check.kind in ("domain", "sphere") else whole).append((cid, check, tol))
+    for idx, z in enumerate(ctx.samples):
+        point = _point_info(idx, z)
+        for cid, check, tol in per_sample:
+            if check.cap is None or idx < check.cap:
+                results.append(_result(cid, tol, point, lambda: ({}, check.runner(ctx, idx, z))))
+        ctx.release(idx)
+    for cid, check, tol in whole:
+        results.append(_result(cid, tol, {}, lambda: check.runner(ctx)))
 
     results.sort(key=lambda r: (r.id, r.point.get("sample", -1)))
 

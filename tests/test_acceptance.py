@@ -140,7 +140,7 @@ def test_criterion_3_oracle_equivalence():
         assert len(points) >= 50
         for z in points:
             H = geo.flat_hessian_of_k(ast, z)
-            Hfd = geo.flat_hessian_fd(ast, z)
+            Hfd = geo.flat_hessian_fd(geo.FlatChart(ast, z))
             rel = np.max(np.abs(H - Hfd)) / np.max(np.abs(H))
             worst_h = max(worst_h, rel)
             assert rel < 1e-5
@@ -210,7 +210,7 @@ def test_criterion_5_q_ksq_and_hamiltonian():
     worst_fs = 0.0
     for z in samples[:10]:
         sp = cone.project_to_sphere(fs, z)
-        worst_fs = max(worst_fs, cone.hamiltonian_field_residual(fs, sp))
+        worst_fs = max(worst_fs, cone.hamiltonian_field_residual(sp))
     assert worst_fs < 1e-6
 
     # signature (n, 1) case, both metric branches
@@ -233,7 +233,7 @@ def test_criterion_5_q_ksq_and_hamiltonian():
     worst_sig = 0.0
     for z in sig_samples[:10]:
         sp = cone.project_to_sphere(sig, z)
-        worst_sig = max(worst_sig, cone.hamiltonian_field_residual(sig, sp))
+        worst_sig = max(worst_sig, cone.hamiltonian_field_residual(sp))
     assert worst_sig < 1e-5
     _report("5 Q = c*k^2 and sigma = X_Q",
             f"(spread {max(rep.rel_spread, rep_sig.rel_spread):.2e}, "

@@ -261,7 +261,7 @@ def test_import_builds_no_cached_table():
         "import skcone.cli as c, skcone.homogeneous as h, skcone.projective as p, "
         "skcone.expr as e, skcone.geometry as g; "
         "tables = (h._form3_table, h._star_table, h._wedge_data, p.fs_prepotential, "
-        "e._shuffles, e._zeros, e._unit, g._complex_structure_table, c._parser); "
+        "e._shuffles, e._zeros, e._unit, g.complex_structure, c._parser); "
         "assert [t.cache_info().currsize for t in tables] == [0] * 9"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -14,7 +14,7 @@ from conftest import STU_BASE, STU_BASE_NEG
 @pytest.fixture(scope="module")
 def fs_sphere():
     ast = parse_prepotential("i*(z0^2 + z1^2 + z2^2)", 3)
-    return ast, cone.project_to_sphere(ast, np.array([1.2 + 0.4j, 0.5 - 0.3j, -0.2 + 0.8j]))
+    return cone.project_to_sphere(ast, np.array([1.2 + 0.4j, 0.5 - 0.3j, -0.2 + 0.8j]))
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def test_projection_fixed_point_on_s(fs2):
     assert np.allclose(sp.u, u0, atol=1e-14)
 
 
-def test_projection_negative_branch(stu, stu_spheres):
+def test_projection_negative_branch(stu_spheres):
     _, neg = stu_spheres
     assert neg.kappa == -1
     assert abs(neg.domain.k + 0.5) < 1e-10
@@ -68,33 +68,33 @@ def test_sphere_sample_invariants(stu_spheres):
 
 
 def test_gauss_normal_coefficient_is_metric(fs_sphere, rng):
-    ast, sp = fs_sphere
+    sp = fs_sphere
     X = cone.random_tangent(sp, rng)
-    split = cone.gauss_split(ast, sp, X, X)
+    split = cone.gauss_split(sp, X, X)
     assert abs(split.normal_coeff - sp.domain.g_form(X, X)) < 1e-6
     assert abs(float(sp.domain.dk @ split.tangential)) < 1e-8
 
 
 def test_gauss_orthogonal_pair(fs_sphere, rng):
-    ast, sp = fs_sphere
+    sp = fs_sphere
     X = cone.random_tangent(sp, rng)
     Y0 = cone.random_tangent(sp, rng)
     gxx = sp.domain.g_form(X, X)
     Y = Y0 - (sp.domain.g_form(X, Y0) / gxx) * X
     assert abs(sp.domain.g_form(X, Y)) < 1e-12
-    split = cone.gauss_split(ast, sp, X, Y)
+    split = cone.gauss_split(sp, X, Y)
     assert abs(split.normal_coeff) < 1e-6
 
 
-def test_gauss_stu_both_branches(stu, stu_spheres, rng):
+def test_gauss_stu_both_branches(stu_spheres, rng):
     for sp in stu_spheres:
         for _ in range(3):
             X = cone.random_tangent(sp, rng)
             Y = cone.random_tangent(sp, rng)
-            split = cone.gauss_split(stu, sp, X, Y)
+            split = cone.gauss_split(sp, X, Y)
             assert abs(split.normal_coeff - sp.domain.g_form(X, Y)) < 1e-5
             # tighter-step oracle: the split is stable under step refinement
-            refined = cone.gauss_split(stu, sp, X, Y, step=2e-6)
+            refined = cone.gauss_split(sp, X, Y, step=2e-6)
             assert abs(split.normal_coeff - refined.normal_coeff) < 1e-6
 
 
@@ -104,19 +104,19 @@ def test_gauss_stu_both_branches(stu, stu_spheres, rng):
 
 
 def test_shape_residual_fs(fs_sphere, rng):
-    ast, sp = fs_sphere
-    assert cone.shape_residual(ast, sp, cone.random_tangent(sp, rng)) < 1e-8
+    sp = fs_sphere
+    assert cone.shape_residual(sp, cone.random_tangent(sp, rng)) < 1e-8
 
 
 def test_shape_zero_vector(fs_sphere):
-    ast, sp = fs_sphere
-    assert cone.shape_residual(ast, sp, np.zeros(6)) == 0.0
+    sp = fs_sphere
+    assert cone.shape_residual(sp, np.zeros(6)) == 0.0
 
 
-def test_shape_residual_stu(stu, stu_spheres, rng):
+def test_shape_residual_stu(stu_spheres, rng):
     for sp in stu_spheres:
         X = cone.random_tangent(sp, rng)
-        assert cone.shape_residual(stu, sp, X) < 1e-6
+        assert cone.shape_residual(sp, X) < 1e-6
 
 
 def test_shape_curve_oracle(stu, stu_spheres, rng):
@@ -136,21 +136,21 @@ def test_shape_curve_oracle(stu, stu_spheres, rng):
     assert np.linalg.norm(A_X - sp.kappa * X) < 1e-5
 
 
-def test_mean_curvature(stu, fs_sphere, stu_spheres):
-    ast, sp = fs_sphere
-    assert cone.mean_curvature_residual(ast, sp) < 1e-6
+def test_mean_curvature(fs_sphere, stu_spheres):
+    sp = fs_sphere
+    assert cone.mean_curvature_residual(sp) < 1e-6
     for sp2 in stu_spheres:
-        assert cone.mean_curvature_residual(stu, sp2) < 1e-6
+        assert cone.mean_curvature_residual(sp2) < 1e-6
 
 
 def test_volume_residual_fs(fs_sphere):
-    ast, sp = fs_sphere
-    assert cone.blaschke_volume_residual(ast, sp) < 1e-8
+    sp = fs_sphere
+    assert cone.blaschke_volume_residual(sp) < 1e-8
 
 
 def test_volume_residual_frame_rotation_invariant(fs_sphere, rng):
-    ast, sp = fs_sphere
-    base = cone.blaschke_volume_residual(ast, sp)
+    sp = fs_sphere
+    base = cone.blaschke_volume_residual(sp)
     # rotate the frame by a special-orthogonal matrix: same span, det 1
     dim = sp.frame.shape[0]
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -159,14 +159,14 @@ def test_volume_residual_frame_rotation_invariant(fs_sphere, rng):
     rotated = cone.SphereSample(
         u=sp.u, kappa=sp.kappa, frame=Q.T @ sp.frame, E=sp.E, sigma=sp.sigma,
         eta=sp.eta, g_ind=(Q.T @ sp.frame) @ sp.domain.g @ (Q.T @ sp.frame).T,
-        domain=sp.domain,
+        chart=sp.chart,
     )
-    assert abs(cone.blaschke_volume_residual(ast, rotated) - base) < 1e-9
+    assert abs(cone.blaschke_volume_residual(rotated) - base) < 1e-9
 
 
-def test_volume_residual_stu(stu, stu_spheres):
+def test_volume_residual_stu(stu_spheres):
     for sp in stu_spheres:
-        assert cone.blaschke_volume_residual(stu, sp) < 1e-5
+        assert cone.blaschke_volume_residual(sp) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +175,9 @@ def test_volume_residual_stu(stu, stu_spheres):
 
 
 def test_sasaki_fs_round_sphere(fs_sphere, rng):
-    ast, sp = fs_sphere
+    sp = fs_sphere
     pairs = [(cone.random_tangent(sp, rng), cone.random_tangent(sp, rng)) for _ in range(2)]
-    res = cone.sasaki_residuals(ast, sp, pairs)
+    res = cone.sasaki_residuals(sp, pairs)
     assert res.killing < 1e-6
     assert res.structure < 1e-6
     assert res.affine < 1e-6
@@ -185,23 +185,23 @@ def test_sasaki_fs_round_sphere(fs_sphere, rng):
 
 
 def test_sasaki_equal_pair(fs_sphere, rng):
-    ast, sp = fs_sphere
+    sp = fs_sphere
     X = cone.random_tangent(sp, rng)
-    res = cone.sasaki_residuals(ast, sp, [(X, X)])
+    res = cone.sasaki_residuals(sp, [(X, X)])
     assert res.killing < 1e-6  # reduces to 2 g(D_X sigma, X)
 
 
-def test_sasaki_stu_lorentzian(stu, stu_spheres, rng):
+def test_sasaki_stu_lorentzian(stu_spheres, rng):
     for sp in stu_spheres:
         pairs = [(cone.random_tangent(sp, rng), cone.random_tangent(sp, rng)) for _ in range(2)]
-        res = cone.sasaki_residuals(stu, sp, pairs)
+        res = cone.sasaki_residuals(sp, pairs)
         assert res.killing < 1e-4
         assert res.structure < 1e-4
         assert res.affine < 1e-4
         assert res.contact < 1e-4
 
 
-def test_sasaki_residuals_keep_nan_from_a_later_pair(stu, stu_spheres, rng, monkeypatch):
+def test_sasaki_residuals_keep_nan_from_a_later_pair(stu_spheres, rng, monkeypatch):
     """Chart values of sigma and the omega pairing turn NaN from the second pair on."""
     sp = stu_spheres[0]
     pairs = [(cone.random_tangent(sp, rng), cone.random_tangent(sp, rng)) for _ in range(2)]
@@ -218,19 +218,19 @@ def test_sasaki_residuals_keep_nan_from_a_later_pair(stu, stu_spheres, rng, monk
 
     monkeypatch.setattr(geo.FlatChart, "sigma_flat", poisoned("sigma", geo.FlatChart.sigma_flat))
     monkeypatch.setattr(geo.DomainSample, "omega_form", poisoned("omega", geo.DomainSample.omega_form))
-    cone.sasaki_residuals(stu, sp, pairs[:1])
+    cone.sasaki_residuals(sp, pairs[:1])
     first_pair.update(calls)
     calls.clear()
-    res = cone.sasaki_residuals(stu, sp, pairs)
+    res = cone.sasaki_residuals(sp, pairs)
     assert all(np.isnan(v) for v in (res.killing, res.structure, res.affine, res.contact))
 
 
-def test_affine_sasaki_matches_dnabla_j(stu, stu_spheres, rng):
+def test_affine_sasaki_matches_dnabla_j(stu_spheres, rng):
     # Prop-style equivalence: both residuals small on the same points
     for sp in stu_spheres:
-        assert geo.dnabla_J_residual(geo.FlatChart(stu, sp.u)) < 1e-5
+        assert geo.dnabla_J_residual(sp.chart) < 1e-5
         pair = (cone.random_tangent(sp, rng), cone.random_tangent(sp, rng))
-        assert cone.sasaki_residuals(stu, sp, [pair]).affine < 1e-4
+        assert cone.sasaki_residuals(sp, [pair]).affine < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +243,32 @@ def test_hamiltonian_sign_is_fitted_constant():
 
 
 def test_hamiltonian_fs(fs_sphere):
-    ast, sp = fs_sphere
-    assert cone.hamiltonian_field_residual(ast, sp) < 1e-8
+    sp = fs_sphere
+    assert cone.hamiltonian_field_residual(sp) < 1e-8
 
 
 def test_hamiltonian_projection_idempotent(fs_sphere):
-    ast, sp = fs_sphere
+    sp = fs_sphere
+    ast = sp.chart.ast
     rescaled = cone.project_to_sphere(ast, 3.7 * sp.u)
-    a = cone.hamiltonian_field_residual(ast, sp)
-    b = cone.hamiltonian_field_residual(ast, rescaled)
+    a = cone.hamiltonian_field_residual(sp)
+    b = cone.hamiltonian_field_residual(rescaled)
     assert abs(a - b) < 1e-10
 
 
-def test_hamiltonian_stu_both_branches(stu, stu_spheres):
+def test_hamiltonian_stu_both_branches(stu_spheres):
     for sp in stu_spheres:
-        assert cone.hamiltonian_field_residual(stu, sp) < 1e-5
+        assert cone.hamiltonian_field_residual(sp) < 1e-5
 
 
 def test_hamiltonian_with_callable_potential(fs_sphere):
-    ast, sp = fs_sphere
+    sp = fs_sphere
+    ast = sp.chart.ast
 
     def k_squared(w_real):
         return geo.kahler_potential(ast, geo.to_complex(w_real)) ** 2
 
-    assert cone.hamiltonian_field_residual(ast, sp, potential=k_squared) < 1e-6
+    assert cone.hamiltonian_field_residual(sp, potential=k_squared) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -274,34 +276,34 @@ def test_hamiltonian_with_callable_potential(fs_sphere):
 # ---------------------------------------------------------------------------
 
 
-def test_warped_r_one_reduces_to_gauss(stu, stu_spheres, rng):
+def test_warped_r_one_reduces_to_gauss(stu_spheres, rng):
     sp, _ = stu_spheres
     X = cone.random_tangent(sp, rng)
     Y = cone.random_tangent(sp, rng)
-    assert cone.warped_product_residuals(stu, sp, 1.0, X, Y) < 1e-6
-    assert cone.warped_position_residual(stu, sp, 1.0, X) < 1e-6
+    assert cone.warped_product_residuals(sp, 1.0, X, Y) < 1e-6
+    assert cone.warped_position_residual(sp, 1.0, X) < 1e-6
 
 
 def test_warped_fs_scaled(fs_sphere, rng):
-    ast, sp = fs_sphere
+    sp = fs_sphere
     X = cone.random_tangent(sp, rng)
     Y = cone.random_tangent(sp, rng)
-    assert cone.warped_product_residuals(ast, sp, 3.0, X, Y) < 1e-6
-    assert cone.warped_position_residual(ast, sp, 3.0, X) < 1e-6
+    assert cone.warped_product_residuals(sp, 3.0, X, Y) < 1e-6
+    assert cone.warped_position_residual(sp, 3.0, X) < 1e-6
 
 
-def test_warped_position_property_all_radii(stu, stu_spheres, rng):
+def test_warped_position_property_all_radii(stu_spheres, rng):
     _, sp = stu_spheres
     X = cone.random_tangent(sp, rng)
     for r in (0.5, 2.0):
-        assert cone.warped_position_residual(stu, sp, r, X) < 1e-6
+        assert cone.warped_position_residual(sp, r, X) < 1e-6
 
 
-def test_warped_rejects_nonpositive_radius(stu, stu_spheres, rng):
+def test_warped_rejects_nonpositive_radius(stu_spheres, rng):
     sp, _ = stu_spheres
     X = cone.random_tangent(sp, rng)
     with pytest.raises(ValueError):
-        cone.warped_product_residuals(stu, sp, -1.0, X, X)
+        cone.warped_product_residuals(sp, -1.0, X, X)
 
 
 def test_cone_isometry_metric_scaling(stu, stu_spheres, rng):

@@ -78,7 +78,7 @@ def test_chart_and_invert_fail_alike(stu, target):
 
 def test_flat_hessian_fd_jet_counts(stu, jets):
     z = stu_points(1, seed=17)[0]
-    geo.flat_hessian_fd(stu, z)
+    geo.flat_hessian_fd(geo.FlatChart(stu, z))
     orders = Counter(order for order, _ in jets)
     assert orders[1] == 0 and orders[3] == 0
     assert set(orders) == {2}
@@ -135,7 +135,7 @@ def test_points_memo_is_byte_equal_to_single_inversions(stu, monkeypatch):
         return real(chart, W)
 
     monkeypatch.setattr(geo.FlatChart, "points", recording)
-    geo.flat_hessian_fd(stu, z)
+    geo.flat_hessian_fd(geo.FlatChart(stu, z))
     [(chart, W)] = stencils
     assert W.shape == (129, 8) and len(chart._points) == 129
     for w in W:
@@ -153,7 +153,8 @@ def test_borderline_point_keeps_its_newton_floor(stu):
     config = verify.config_from_dict(dict(inputs["configs"]["suite_stu"], seed=9))
     z = verify.sample_points(config, stu)[16]
     H = geo.flat_hessian_of_k(stu, z)
-    residual = float(np.max(np.abs(H - geo.flat_hessian_fd(stu, z)))) / max(1.0, float(np.max(np.abs(H))))
+    Hfd = geo.flat_hessian_fd(geo.FlatChart(stu, z))
+    residual = float(np.max(np.abs(H - Hfd))) / max(1.0, float(np.max(np.abs(H))))
     assert 1.28e-4 < residual < 1.30e-4
 
 
@@ -187,7 +188,7 @@ def test_stencils_evaluate_one_jet_per_newton_round(stu, jets):
     """A stencil inverts its points together: the seed jet, then one stacked jet per Newton round."""
     z = stu_points(1, seed=17)[0]
     seed = z.tobytes()
-    geo.flat_hessian_fd(stu, z)
+    geo.flat_hessian_fd(geo.FlatChart(stu, z))
     assert [order for order, _ in jets] == [2, 2, 2]
     assert jets[0][1] == seed and len(jets[1][1]) == 128 * len(seed)
     jets.clear()

@@ -7,6 +7,7 @@ bytes it gets alone, and an error is the one the unbatched code raises
 first.  These tests count the stacks and compare against unbatched runs.
 """
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -54,8 +55,9 @@ def jet_rows(monkeypatch):
     return calls
 
 
-@pytest.fixture(scope="module", params=["positive", "negative"])
+@pytest.fixture(params=["positive", "negative"])
 def sphere(request, stu):
+    """A new sphere sample per test, so that no earlier test's chart points are memoised."""
     base = STU_BASE if request.param == "positive" else STU_BASE_NEG
     return cone.project_to_sphere(stu, base + 0.04)
 
@@ -65,9 +67,13 @@ def _pairs(sphere, count=2, seed=31):
     return [(cone.random_tangent(sphere, gen), cone.random_tangent(sphere, gen)) for _ in range(count)]
 
 
-def _unbatched(monkeypatch):
-    """Make FlatChart.points a no-op: every chart point is then inverted alone, on first use."""
+def _unbatched(monkeypatch, sphere):
+    """Make FlatChart.points a no-op, and return the sphere sample with a new chart at u.
+
+    Every chart point of the new chart is then inverted alone, on first use.
+    """
     monkeypatch.setattr(geo.FlatChart, "points", lambda chart, W: None)
+    return dataclasses.replace(sphere, chart=geo.FlatChart(sphere.chart.ast, sphere.u))
 
 
 # ---------------------------------------------------------------------------
@@ -75,26 +81,26 @@ def _unbatched(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_sasaki_residuals_make_two_newton_stacks(stu, sphere, newton_rows):
-    cone.sasaki_residuals(stu, sphere, _pairs(sphere))
+def test_sasaki_residuals_make_two_newton_stacks(sphere, newton_rows):
+    cone.sasaki_residuals(sphere, _pairs(sphere))
     assert len(newton_rows) == 2
     # the Christoffel stencils at w0 and at the four outer points, and the
     # eight direction stencils at w0, before the stencils that depend on them
     assert newton_rows[0] == 5 * 17 + 8 * 2
 
 
-def test_mean_curvature_makes_one_newton_stack(stu, sphere, newton_rows):
-    cone.mean_curvature_residual(stu, sphere)
+def test_mean_curvature_makes_one_newton_stack(sphere, newton_rows):
+    cone.mean_curvature_residual(sphere)
     assert newton_rows == [2 * sphere.frame.shape[0]] == [2 * 7]
 
 
-def test_warped_position_is_one_two_point_stencil(stu, sphere, newton_rows, monkeypatch):
+def test_warped_position_is_one_two_point_stencil(sphere, newton_rows, monkeypatch):
     X, _ = _pairs(sphere, 1)[0]
     monkeypatch.setattr(cone, "gauss_split", None)  # the position identity needs no Gauss split
-    assert cone.warped_position_residual(stu, sphere, 2.5, X) < 1e-6
+    assert cone.warped_position_residual(sphere, 2.5, X) < 1e-6
     assert newton_rows == [2]
     with pytest.raises(ValueError):
-        cone.warped_position_residual(stu, sphere, 0.0, X)
+        cone.warped_position_residual(sphere, 0.0, X)
 
 
 def test_repeated_christoffel_evaluates_no_new_stencil(stu, newton_rows, monkeypatch):
@@ -135,14 +141,14 @@ def test_stencil_point_helpers_are_the_memo_keys(stu, newton_rows):
 # ---------------------------------------------------------------------------
 
 
-def test_sasaki_and_mean_curvature_equal_their_unbatched_values(stu, sphere, monkeypatch):
+def test_sasaki_and_mean_curvature_equal_their_unbatched_values(sphere, monkeypatch):
     pairs = _pairs(sphere)
-    batched = cone.sasaki_residuals(stu, sphere, pairs), cone.mean_curvature_residual(stu, sphere)
-    _unbatched(monkeypatch)
-    assert (cone.sasaki_residuals(stu, sphere, pairs), cone.mean_curvature_residual(stu, sphere)) == batched
+    batched = cone.sasaki_residuals(sphere, pairs), cone.mean_curvature_residual(sphere)
+    alone = _unbatched(monkeypatch, sphere)
+    assert (cone.sasaki_residuals(alone, pairs), cone.mean_curvature_residual(alone)) == batched
 
 
-def test_failing_level_tangent_at_an_outer_point_raises_as_unbatched(stu, sphere, monkeypatch):
+def test_failing_level_tangent_at_an_outer_point_raises_as_unbatched(sphere, monkeypatch):
     pairs = _pairs(sphere)
     X = np.asarray(pairs[0][0], dtype=float)
     dom = sphere.domain
@@ -156,10 +162,10 @@ def test_failing_level_tangent_at_an_outer_point_raises_as_unbatched(stu, sphere
 
     monkeypatch.setattr(geo.FlatChart, "level_tangent_flat", failing)
     with pytest.raises(DegenerateMetric) as batched:
-        cone.sasaki_residuals(stu, sphere, pairs)
-    _unbatched(monkeypatch)
+        cone.sasaki_residuals(sphere, pairs)
+    alone = _unbatched(monkeypatch, sphere)
     with pytest.raises(DegenerateMetric) as unbatched:
-        cone.sasaki_residuals(stu, sphere, pairs)
+        cone.sasaki_residuals(alone, pairs)
     assert type(batched.value) is type(unbatched.value)
     assert str(batched.value) == str(unbatched.value)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -321,3 +322,70 @@ def test_a_failed_flat_hessian_fails_every_check_alike(monkeypatch):
     assert failed == {cid: "DegenerateMetric: injected singular Hessian" for cid in _HESSIAN_CHECKS[:2]}
     (spread,) = (r for r in report.checks if r.id == "eq.ma.spread")
     assert spread.point["skipped"] == [1]
+
+
+# ---------------------------------------------------------------------------
+# one chart per sphere sample, dropped with its sample
+# ---------------------------------------------------------------------------
+
+STU_CONFIG = verify.SuiteConfig(
+    prepotential="z1*z2*z3/z0",
+    n_vars=4,
+    seed=7,
+    sample_count=2,
+    base_point=(1.0, 1j, 1j, 1j),
+    sample_radius=0.15,
+)
+
+# The per-sample ids that read a chart which other ids of their sample read too.
+_CHART_SHARING = (
+    "lemma1.h_xi_dbar_k", "cor.npotential.flat_hessian", "oracle.flat_hessian_fd",
+    "flat.omega_parallel", "eq.special.dnabla_j", "contact.d_eta",
+    "thm.affinesphere.gauss", "thm.affinesphere.shape", "thm.affinesphere.mean_curvature",
+    "sasaki.killing", "sasaki.structure", "prop.asc.affine_sasaki", "sasaki.contact",
+    "eq.wpr.radial",
+)
+
+
+@pytest.fixture(scope="module")
+def stu_run():
+    """The 2-sample STU suite, the seed of every FlatChart it builds, and the charts alive after each release."""
+    seeds, alive_after_release = [], []
+    alive = weakref.WeakSet()
+    real_init, real_release = geo.FlatChart.__init__, verify._Context.release
+
+    def init(chart, ast, seed_z):
+        real_init(chart, ast, seed_z)
+        seeds.append(np.asarray(seed_z, dtype=complex).tobytes())
+        alive.add(chart)
+
+    def release(ctx, idx):
+        real_release(ctx, idx)
+        alive_after_release.append(len(alive))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo.FlatChart, "__init__", init)
+        mp.setattr(verify._Context, "release", release)
+        report = verify.run_suite(STU_CONFIG)
+    return report, seeds, alive_after_release
+
+
+def test_a_suite_builds_at_most_four_charts_per_sample(stu_run):
+    report, seeds, _ = stu_run
+    assert report.all_pass
+    # per sample: one at u, one at r*u for each warped identity, one at z
+    assert len(seeds) <= 4 * STU_CONFIG.sample_count
+
+
+def test_no_chart_outlives_its_sample(stu_run):
+    _, seeds, alive_after_release = stu_run
+    assert seeds and alive_after_release == [0] * STU_CONFIG.sample_count
+
+
+@pytest.mark.parametrize("cid", _CHART_SHARING)
+def test_a_chart_sharing_check_alone_equals_its_rows_in_the_suite(stu_run, cid):
+    """A memoised chart point gives the bits a fresh inversion gives, so sharing moves no result."""
+    report, _, _ = stu_run
+    alone = verify.run_suite(dataclasses.replace(STU_CONFIG, checks=(cid,)))
+    assert len(alone.checks) == STU_CONFIG.sample_count
+    assert alone.checks == tuple(r for r in report.checks if r.id == cid)
