@@ -10,7 +10,7 @@ their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,10 +53,18 @@ class SphereSample:
     eta: np.ndarray      # contact covector omega(xi, .)
     g_ind: np.ndarray    # induced metric on the frame
     chart: FlatChart     # the flat chart seeded at u, which every residual at u runs on
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def domain(self) -> DomainSample:
         return self.chart.base
+
+    def scaled_chart(self, r: float) -> FlatChart:
+        """The flat chart seeded at r·u, built once per r; it lives as long as the sphere sample."""
+        chart = self._scaled.get(r)
+        if chart is None:
+            chart = self._scaled[r] = FlatChart(self.chart.ast, r * self.u)
+        return chart
 
     @property
     def m(self) -> int:
@@ -113,6 +121,16 @@ def random_tangent(sphere: SphereSample, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def direction_points(sphere: SphereSample, T) -> list:
+    """The chart points at u of the derivative along the tangent vector T, bit for bit.
+
+    :func:`gauss_split` (along X), :func:`shape_residual` and
+    :func:`mean_curvature_residual` differentiate across them.
+    """
+    dom = sphere.domain
+    return FlatChart.dir_points(dom.flat, dom.flat_jac @ np.asarray(T, dtype=float), FIELD_STEP)
+
+
 def gauss_split(sphere: SphereSample, X, Y, step: float = FIELD_STEP) -> GaussSplit:
     """Split nabla_X Y along ker dk + span(E).
 
@@ -152,9 +170,7 @@ def shape_residual(sphere: SphereSample, X) -> float:
 
 def mean_curvature_residual(sphere: SphereSample) -> float:
     """|trace(A)/(2n+1) - kappa| over the Euclidean-orthonormal frame."""
-    dom = sphere.domain
-    chart = sphere.chart
-    chart.points([w for T in sphere.frame for w in chart.dir_points(dom.flat, dom.flat_jac @ T, FIELD_STEP)])
+    sphere.chart.points([w for T in sphere.frame for w in direction_points(sphere, T)])
     trace = 0.0
     for T in sphere.frame:
         trace += float(T @ _shape_operator(sphere, T))
@@ -199,45 +215,63 @@ def _level_derivative(chart: FlatChart, dom: DomainSample, Xf, Y, gamma0) -> np.
     return _tangential(dom, np.linalg.solve(dom.flat_jac, DXY))
 
 
-def _hand_over_sasaki_stencils(chart: FlatChart, dom: DomainSample, vectors) -> None:
-    """Invert every chart point :func:`sasaki_residuals` differentiates across, in two stacks.
+def _sasaki_vectors(sphere: SphereSample, pairs) -> list:
+    """(X, Y, Xc, Yc, Xf, Yf, Xcf, Ycf) per tangent pair: the pair, its projections along sigma onto ker eta, and their flat components."""
+    jac0 = sphere.domain.flat_jac
+    eta_sigma = float(sphere.eta @ sphere.sigma)
+    vectors = []
+    for X, Y in pairs:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        Xc = X - (float(sphere.eta @ X) / eta_sigma) * sphere.sigma
+        Yc = Y - (float(sphere.eta @ Y) / eta_sigma) * sphere.sigma
+        vectors.append((X, Y, Xc, Yc, jac0 @ X, jac0 @ Y, jac0 @ Xc, jac0 @ Yc))
+    return vectors
 
-    ``vectors`` holds (X, Y, Xc, Yc, Xf, Yf, Xcf, Ycf) per tangent pair.  The first
-    stack holds the points that w0 and the pairs' vectors fix: the
-    Christoffel stencils at w0 and at the outer points of the nested
-    difference, and the direction stencils along Xf, Yf, Xcf and Ycf.  The
-    second holds the direction stencils whose direction is a field at
-    points of the first: the level tangent of Y at w0 and at the outer
-    points, and the direction of Phi in the structure equation.  A
-    direction that cannot be formed is left out; the residual loop then
-    raises its error as it would without the hand-over.
+
+def _sasaki_first_points(dom: DomainSample, vectors) -> list:
+    """The chart points that w0 and the pairs' vectors fix.
+
+    These are the Christoffel stencils at w0 and at the outer points of the
+    nested difference, and the direction stencils along Xf, Yf, Xcf and Ycf.
     """
     w0 = dom.flat
-    jac0 = dom.flat_jac
-    first = chart.christoffel_points(w0)
-    outer = []
-    for _, _, _, _, Xf, Yf, Xcf, Ycf in vectors:
-        ends = chart.dir_points(w0, Xf, _OUTER_STEP)
-        outer.append(ends)
-        for w in ends:
-            first += chart.christoffel_points(w)
+    first = FlatChart.christoffel_points(w0)
+    for *_, Xf, Yf, Xcf, Ycf in vectors:
+        for w in FlatChart.dir_points(w0, Xf, _OUTER_STEP):
+            first += FlatChart.christoffel_points(w)
         for direction in (Xf, Yf, Xcf, Ycf):
-            first += chart.dir_points(w0, direction, FIELD_STEP)
-    chart.points(first)
+            first += FlatChart.dir_points(w0, direction, FIELD_STEP)
+    return first
 
+
+def _sasaki_second_points(chart: FlatChart, dom: DomainSample, vectors) -> list:
+    """The direction stencils whose direction is a field at points of the first stack.
+
+    These are the level tangent of Y at w0 and at the outer points, and the
+    direction of Phi in the structure equation.  A direction that cannot be
+    formed is left out; the residual loop then raises its error as it would
+    without the hand-over.
+    """
+    w0 = dom.flat
     second = []
-    for (_, Y, _, _, Xf, *_), ends in zip(vectors, outer):
-        for w in (w0, *ends):
+    for _, Y, _, _, Xf, *_ in vectors:
+        for w in (w0, *FlatChart.dir_points(w0, Xf, _OUTER_STEP)):
             try:
                 second += chart.dir_points(w, chart.level_tangent_flat(w, Y), FIELD_STEP)
             except _STENCIL_ERRORS:
                 pass
         try:
             hat = _level_derivative(chart, dom, Xf, Y, chart.christoffel(w0))
-            second += chart.dir_points(w0, jac0 @ hat, FIELD_STEP)
+            second += chart.dir_points(w0, dom.flat_jac @ hat, FIELD_STEP)
         except _STENCIL_ERRORS:
             pass
-    chart.points(second)
+    return second
+
+
+def sasaki_points(sphere: SphereSample, pairs) -> list:
+    """The chart points at u of the first of :func:`sasaki_residuals`' two Newton stacks, bit for bit."""
+    return _sasaki_first_points(sphere.domain, _sasaki_vectors(sphere, pairs))
 
 
 def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
@@ -248,23 +282,20 @@ def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
     affine     Phi = nabla-hat sigma (affine Sasaki condition)
     contact    d eta = 2 omega on ker eta
 
-    Every chart point is inverted before the residuals are differentiated
-    (see :func:`_hand_over_sasaki_stencils`), so they read memoised points.
+    Every chart point is inverted, in two stacks, before the residuals are
+    differentiated, so they read memoised points.  The first stack holds the
+    points that w0 and the pairs fix (:func:`sasaki_points`, which a caller
+    may have handed over already); the second, the direction stencils whose
+    direction is a field at points of the first.
     """
     dom = sphere.domain
     chart = sphere.chart
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
-    eta_sigma = float(sphere.eta @ sphere.sigma)
-    vectors = []
-    for X, Y in pairs:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        Xc = X - (float(sphere.eta @ X) / eta_sigma) * sphere.sigma
-        Yc = Y - (float(sphere.eta @ Y) / eta_sigma) * sphere.sigma
-        vectors.append((X, Y, Xc, Yc, jac0 @ X, jac0 @ Y, jac0 @ Xc, jac0 @ Yc))
-    _hand_over_sasaki_stencils(chart, dom, vectors)
+    vectors = _sasaki_vectors(sphere, pairs)
+    chart.points(_sasaki_first_points(dom, vectors))
+    chart.points(_sasaki_second_points(chart, dom, vectors))
     gamma0 = chart.christoffel(w0)
     g_flat0 = chart.g_flat(w0)
 
@@ -328,9 +359,8 @@ def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
 # ---------------------------------------------------------------------------
 
 
-def _hamiltonian_field(sphere: SphereSample, potential=None) -> tuple:
-    """Flat components of the Hamiltonian field of ``potential`` and of 2k * sigma."""
-    dom = sphere.domain
+def _hamiltonian_field(dom: DomainSample, potential=None) -> tuple:
+    """Flat components of the Hamiltonian field of ``potential`` and of 2k * sigma, sigma = J xi."""
     if potential is None:
         grad = 2.0 * dom.k * dom.dk
     else:
@@ -338,12 +368,15 @@ def _hamiltonian_field(sphere: SphereSample, potential=None) -> tuple:
         h = 1e-6 * (1.0 + float(np.linalg.norm(dom.xi)))
         grad = chart_matrix_derivative(potential, dom.xi, h)
     X_flat = canonical_symplectic(dom.m) @ np.linalg.solve(dom.flat_jac.T, grad)
-    return X_flat, 2.0 * dom.k * (dom.flat_jac @ sphere.sigma)
+    return X_flat, 2.0 * dom.k * (dom.flat_jac @ (dom.J @ dom.xi))
 
 
-def hamiltonian_field_residual(sphere: SphereSample, potential=None,
+def hamiltonian_field_residual(dom: DomainSample, potential=None,
                                sign: float = HAMILTONIAN_SIGN) -> float:
-    """Residual of sigma against the Hamiltonian field of k^2 on S.
+    """Residual of sigma = J xi against the Hamiltonian field of k^2 at a point u of S.
+
+    ``dom`` is the sample at u (a sphere sample's ``domain``); sigma is the
+    sphere's field there, computed as :func:`project_to_sphere` does.
 
     The field X solves iota_X omega_can = d(potential) in flat coordinates,
     with omega_can the canonical Darboux matrix of the chart (the constant
@@ -352,27 +385,38 @@ def hamiltonian_field_residual(sphere: SphereSample, potential=None,
     metric branches.  ``potential`` defaults to k^2 with analytic gradient;
     a callable (real frame -> float) is differentiated numerically.
     """
-    X_flat, ref = _hamiltonian_field(sphere, potential)
+    X_flat, ref = _hamiltonian_field(dom, potential)
     return float(np.linalg.norm(X_flat - sign * ref))
 
 
 def fit_hamiltonian_sign(dim: int = 3) -> float:
     """Fit the global Hamiltonian sign on the Fubini-Study case."""
     z = np.full(dim, 0.4 + 0.3j, dtype=complex)
-    X_flat, ref = _hamiltonian_field(project_to_sphere(fs_prepotential(dim), z))
+    X_flat, ref = _hamiltonian_field(project_to_sphere(fs_prepotential(dim), z).domain)
     return float(np.sign(X_flat @ ref))
+
+
+def _scaled_direction(sphere: SphereSample, r: float, X) -> tuple:
+    """The sphere's chart at r·u, its base sample, and X~ = r X there in flat components."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    chart = sphere.scaled_chart(r)
+    dom_p = chart.base
+    return chart, dom_p, dom_p.flat_jac @ (r * np.asarray(X, dtype=float))
+
+
+def warped_points(sphere: SphereSample, r: float, X) -> list:
+    """The chart points at r·u that the warped identities differentiate across along X~ = r X, bit for bit."""
+    chart, dom_p, Xt_flat = _scaled_direction(sphere, r, X)
+    return chart.dir_points(dom_p.flat, Xt_flat, FIELD_STEP)
 
 
 def warped_position_residual(sphere: SphereSample, r: float, X) -> float:
     """|nabla_{X~} xi - X~| at the scaled point r*u, with X~ = r * X (xi is the flat position field)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    X = np.asarray(X, dtype=float)
-    chart = FlatChart(sphere.chart.ast, r * sphere.u)
-    dom_p = chart.base
-    D = chart.dir_deriv(chart.xi_flat, dom_p.flat, dom_p.flat_jac @ (r * X), FIELD_STEP)
+    chart, dom_p, Xt_flat = _scaled_direction(sphere, r, X)
+    D = chart.dir_deriv(chart.xi_flat, dom_p.flat, Xt_flat, FIELD_STEP)
     V = np.linalg.solve(dom_p.flat_jac, D)
-    return float(np.linalg.norm(V - r * X))
+    return float(np.linalg.norm(V - r * np.asarray(X, dtype=float)))
 
 
 def warped_product_residuals(sphere: SphereSample, r: float, X, Y) -> float:
@@ -380,16 +424,11 @@ def warped_product_residuals(sphere: SphereSample, r: float, X, Y) -> float:
 
     nabla_{X~} Y~ at ru equals r * (nabla-hat_X Y + g(X, Y) E) from the Gauss
     data at u, for the homogeneous extensions X~(ru) = r X(u).  The position
-    identity at ru is :func:`warped_position_residual`.
+    identity at ru is :func:`warped_position_residual`; both run on the
+    sphere's one chart at r·u.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    X = np.asarray(X, dtype=float)
+    chart, dom_p, Xt_flat = _scaled_direction(sphere, r, X)
     Y = np.asarray(Y, dtype=float)
-    chart = FlatChart(sphere.chart.ast, r * sphere.u)
-    dom_p = chart.base
-    wp = dom_p.flat
-    Xt_flat = dom_p.flat_jac @ (r * X)
 
     def y_homog_flat(w):
         s = chart.sample(w)
@@ -398,7 +437,7 @@ def warped_product_residuals(sphere: SphereSample, r: float, X, Y) -> float:
         Yl = Y - (float(s.dk @ Y) / denom) * s.xi
         return s.flat_jac @ (scale * Yl)
 
-    D = chart.dir_deriv(y_homog_flat, wp, Xt_flat, FIELD_STEP)
+    D = chart.dir_deriv(y_homog_flat, dom_p.flat, Xt_flat, FIELD_STEP)
     V = np.linalg.solve(dom_p.flat_jac, D)
     split = gauss_split(sphere, X, Y)
     rhs = r * (split.tangential + split.normal_coeff * sphere.E)

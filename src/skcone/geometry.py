@@ -460,6 +460,25 @@ class FlatChart:
         return _central(field, w, dw, h) * norm
 
     @staticmethod
+    def axis_points(w) -> list:
+        """The 2·2m points the domain checks' axis stencil evaluates its field at, bit for bit.
+
+        :func:`dnabla_J_residual`, :func:`omega_parallel_residual` and
+        :func:`d_eta_residual` share it.
+        """
+        return list(_axis_stencil(w, _chart_step(w, CHART_STEP)))
+
+    @staticmethod
+    def hessian_points(w) -> list:
+        """The centre, the 2·2m axis points and the cross points of :func:`flat_hessian_fd`, bit for bit."""
+        n = w.size
+        e = CHART_STEP * np.eye(n)
+        plus, minus = w + e, w - e
+        cross = [v for a in range(n) for b in range(a + 1, n)
+                 for v in (plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b])]
+        return [w, *plus, *minus, *cross]
+
+    @staticmethod
     def christoffel_points(w) -> list:
         """The centre and the 2·2m axis points :meth:`christoffel` evaluates g_flat at, bit for bit."""
         return [w, *_axis_stencil(w, _chart_step(w, GAMMA_STEP))]
@@ -520,11 +539,9 @@ def flat_hessian_fd(chart: FlatChart) -> np.ndarray:
     """
     w0 = chart.base.flat
     n = w0.size
-    e = CHART_STEP * np.eye(n)
-    plus, minus = w0 + e, w0 - e
-    cross = {(a, b): (plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b])
-             for a in range(n) for b in range(a + 1, n)}
-    chart.points([w0, *plus, *minus, *(w for quad in cross.values() for w in quad)])
+    points = chart.hessian_points(w0)
+    chart.points(points)
+    plus, minus, cross = points[1:n + 1], points[n + 1:2 * n + 1], iter(points[2 * n + 1:])
     k_at = chart.k
 
     k0 = k_at(w0)
@@ -532,8 +549,8 @@ def flat_hessian_fd(chart: FlatChart) -> np.ndarray:
     for a in range(n):
         H[a, a] = (k_at(plus[a]) - 2.0 * k0 + k_at(minus[a])) / CHART_STEP**2
         for b in range(a + 1, n):
-            pp, pm, mp, mm = cross[a, b]
-            H[a, b] = H[b, a] = (k_at(pp) - k_at(pm) - k_at(mp) + k_at(mm)) / (4.0 * CHART_STEP**2)
+            pp, pm, mp, mm = (k_at(next(cross)) for _ in range(4))
+            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * CHART_STEP**2)
     return H
 
 
@@ -569,10 +586,13 @@ def det_spread(hessian_of, points) -> MongeAmpereReport:
     return MongeAmpereReport(tuple(values), rel, tuple(skipped))
 
 
-def lemma1_residuals(ast: PrepotentialAst, z) -> dict:
-    """Residuals of h(xi,.) = 2 dbar k, g(xi,.) = dk, g(xi,xi) = 2k."""
-    jet = eval_jet(ast, z, 2)
-    s = domain_sample(ast, z, jet=jet)
+def lemma1_residuals(chart: FlatChart) -> dict:
+    """Residuals of h(xi,.) = 2 dbar k, g(xi,.) = dk, g(xi,xi) = 2k at the chart's seed.
+
+    They read the chart's base sample and its seed jet, so they cost no jet.
+    """
+    s = chart.base
+    jet = chart._seed_jet
     zc = s.z
     dkz = _dk_z(jet.deriv(2), jet.deriv(1), zc)
     h_xi = s.h @ zc                        # components of h(xi, .) in dzbar
@@ -583,16 +603,19 @@ def lemma1_residuals(ast: PrepotentialAst, z) -> dict:
     return {"r1": r1, "r2": r2, "r3": r3}
 
 
-def xi_flat_residual(ast: PrepotentialAst, z) -> float:
-    """Position-field check: flat_jac . xi equals the flat coordinates."""
-    s = domain_sample(ast, z)
+def xi_flat_residual(chart: FlatChart) -> float:
+    """Position-field check at the chart's seed: flat_jac . xi equals the flat coordinates."""
+    s = chart.base
     return float(np.linalg.norm(s.flat_jac @ s.xi - s.flat)) / (1.0 + float(np.linalg.norm(s.flat)))
 
 
-def metric_scaling_residual(ast: PrepotentialAst, z, lam: float = 2.0) -> float:
-    """Cone isometry: g_{lam z}(lam X, lam X) = lam^2 g_z(X, X)."""
-    g0 = domain_sample(ast, z).g
-    g1 = domain_sample(ast, lam * np.asarray(z, dtype=complex)).g
+def metric_scaling_residual(chart: FlatChart, lam: float = 2.0) -> float:
+    """Cone isometry at the chart's seed z: g_{lam z}(lam X, lam X) = lam^2 g_z(X, X).
+
+    The seed's sample is the chart's base; only lam z builds a sample.
+    """
+    g0 = chart.base.g
+    g1 = domain_sample(chart.ast, lam * chart.base.z).g
     scale = 1.0 + float(np.max(np.abs(g0)))
     return float(np.max(np.abs(g1 - g0))) / scale
 
@@ -612,17 +635,15 @@ def antisymmetrized_chart_derivative(field, w0, step: float) -> float:
 def dnabla_J_residual(chart: FlatChart) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
-    h = _chart_step(w0, CHART_STEP)
-    chart.points(_axis_stencil(w0, h))
-    return antisymmetrized_chart_derivative(chart.J_flat, w0, h)
+    chart.points(chart.axis_points(w0))
+    return antisymmetrized_chart_derivative(chart.J_flat, w0, _chart_step(w0, CHART_STEP))
 
 
 def omega_parallel_residual(chart: FlatChart) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
-    h = _chart_step(w0, CHART_STEP)
-    chart.points(_axis_stencil(w0, h))
-    return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, h))))
+    chart.points(chart.axis_points(w0))
+    return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, _chart_step(w0, CHART_STEP)))))
 
 
 def d_eta_residual(chart: FlatChart) -> float:
@@ -633,8 +654,7 @@ def d_eta_residual(chart: FlatChart) -> float:
     omega and the position-field property of xi.
     """
     s0 = chart.base
-    h = _chart_step(s0.flat, CHART_STEP)
-    chart.points(_axis_stencil(s0.flat, h))
-    D = chart_matrix_derivative(chart.eta_flat, s0.flat, h)  # D[a, b] = d_a eta_b
+    chart.points(chart.axis_points(s0.flat))
+    D = chart_matrix_derivative(chart.eta_flat, s0.flat, _chart_step(s0.flat, CHART_STEP))  # D[a, b] = d_a eta_b
     d_eta = D - D.T
     return float(np.max(np.abs(d_eta - 2.0 * s0.flat_form(s0.omega))))

@@ -22,8 +22,11 @@ from .geometry import DomainSample, domain_sample, to_complex, to_real
 _LEVEL_TOL = 1e-8
 
 
-def _horizontal(dom: DomainSample, X) -> np.ndarray:
-    """Remove the complex-linear projection of X onto the line through xi."""
+def horizontal_project(dom: DomainSample, X) -> np.ndarray:
+    """Component of X with h(xi, X) = 0 (the horizontal distribution) at the sample ``dom``.
+
+    It removes the complex-linear projection of X onto the line through xi.
+    """
     X = np.asarray(X, dtype=float)
     xi = dom.xi
     h_xx = dom.h_form(xi, xi)  # = 2k, real
@@ -31,11 +34,6 @@ def _horizontal(dom: DomainSample, X) -> np.ndarray:
         raise InadmissiblePoint("h(xi, xi) = 2k too small for horizontal projection")
     c = dom.h_form(X, xi) / h_xx
     return X - c.real * xi - c.imag * (dom.J @ xi)
-
-
-def horizontal_project(ast: PrepotentialAst, u, X) -> np.ndarray:
-    """Component of X with h(xi, X) = 0 (the horizontal distribution)."""
-    return _horizontal(domain_sample(ast, u), X)
 
 
 def _gbar(dom: DomainSample, X, Y) -> float:
@@ -58,13 +56,12 @@ def projective_metric_values(dom: DomainSample, vectors) -> list:
     return out
 
 
-def submersion_residual(ast: PrepotentialAst, u, X) -> float:
-    """| gbar(X) - kappa g(X, X) | for horizontal X tangent to S.
+def submersion_residual(dom: DomainSample, X) -> float:
+    """| gbar(X) - kappa g(X, X) | for horizontal X tangent to S at the sample ``dom`` of a point u of S.
 
     kappa = +1 is the semi-Riemannian submersion statement at c = 1/2;
     kappa = -1 is the anti-isometry branch.
     """
-    dom = domain_sample(ast, u)
     if abs(abs(dom.k) - 0.5) > _LEVEL_TOL:
         raise InadmissiblePoint(f"|k(u)| = {abs(dom.k):.6f}, point not on S")
     X = np.asarray(X, dtype=float)
@@ -75,38 +72,37 @@ def submersion_residual(ast: PrepotentialAst, u, X) -> float:
     return abs(_gbar(dom, X, X) - kappa * dom.g_form(X, X))
 
 
-def pkm_vertical_residual(ast: PrepotentialAst, u) -> float:
-    """gbar must annihilate the vertical plane span(xi, J xi)."""
-    dom = domain_sample(ast, u)
+def pkm_vertical_residual(dom: DomainSample) -> float:
+    """gbar must annihilate the vertical plane span(xi, J xi) at the sample ``dom``."""
     xi = dom.xi
     return max_or_nan(abs(_gbar(dom, xi, xi)), abs(_gbar(dom, dom.J @ xi, dom.J @ xi)))
 
 
-def pkm_pullback_residual(ast: PrepotentialAst, u, X) -> float:
-    """|g_u(u,u) * gbar(X_h) - g(X_h, X_h)| on the horizontal part of TS."""
-    dom = domain_sample(ast, u)
-    Xh = _horizontal(dom, X)
+def pkm_pullback_residual(dom: DomainSample, X) -> float:
+    """|g_u(u,u) * gbar(X_h) - g(X_h, X_h)| on the horizontal part of TS, at the sample ``dom`` of u."""
+    Xh = horizontal_project(dom, X)
     return abs(2.0 * dom.k * _gbar(dom, Xh, Xh) - dom.g_form(Xh, Xh))
 
 
-def pkm_scale_residual(ast: PrepotentialAst, u, X, lam: complex) -> float:
-    """Invariance of gbar under u -> lam u, X -> lam X (lam in C^*)."""
-    u = np.asarray(u, dtype=complex)
+def pkm_scale_residual(ast: PrepotentialAst, dom: DomainSample, X, lam: complex) -> float:
+    """Invariance of gbar under u -> lam u, X -> lam X (lam in C^*), with ``dom`` the sample at u.
+
+    Only the point lam u builds a sample.
+    """
     X = np.asarray(X, dtype=float)
-    base = projective_metric(ast, u, X)
+    (base,) = projective_metric_values(dom, [X])
     X_scaled = to_real(lam * to_complex(X))
-    moved = projective_metric(ast, lam * u, X_scaled)
+    moved = projective_metric(ast, lam * dom.z, X_scaled)
     return abs(moved - base) / (1.0 + abs(base))
 
 
-def horizontal_gram_determinant(ast: PrepotentialAst, u, frame) -> float:
-    """|det| of the gbar Gram matrix on a basis of the horizontal space.
+def horizontal_gram_determinant(dom: DomainSample, frame) -> float:
+    """|det| of the gbar Gram matrix on a basis of the horizontal space at the sample ``dom`` of u.
 
     ``frame`` spans ker dk at u; its horizontal projections have one real
     relation (the sigma direction), which is dropped by rank reduction.
     """
-    dom = domain_sample(ast, u)
-    projected = np.array([_horizontal(dom, T) for T in frame])
+    projected = np.array([horizontal_project(dom, T) for T in frame])
     q, r = np.linalg.qr(projected.T)
     keep = np.abs(np.diag(r)) > 1e-8
     basis = q.T[keep]

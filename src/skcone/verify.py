@@ -183,16 +183,18 @@ class _Context:
         self.signature = hom.quadratic_signature(self.ast)
         self.fitted: dict = {}
         self._spheres: dict = {}
+        self._sphere_domains: dict = {}
         self._sasaki: dict = {}
         self._charts: dict = {}
         self._lemma1: dict = {}
         self._hessians: dict = {}
+        self._q_report = None
 
     def rng(self, salt: int, idx: int = 0):
         return np.random.default_rng([self.config.seed, salt, idx])
 
     def chart(self, idx: int):
-        """Flat chart seeded at sample idx, shared by the chart stencil checks and the FD Hessian oracle."""
+        """The flat chart seeded at sample idx, whose base, seed jet and stencils the domain checks at z share."""
         if idx not in self._charts:
             self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
         return self._charts[idx]
@@ -200,27 +202,34 @@ class _Context:
     def flat_hessian(self, idx: int):
         """flat_hessian_of_k at sample idx, computed once; a failure re-raises to every caller."""
         if idx not in self._hessians:
-            try:
-                self._hessians[idx] = geo.flat_hessian_of_k(self.ast, self.samples[idx])
-            except _CHECK_ERRORS as exc:
-                self._hessians[idx] = exc
-        hit = self._hessians[idx]
-        if isinstance(hit, Exception):
-            raise hit
-        return hit
+            self._hessians[idx] = _outcome(lambda: geo.flat_hessian_of_k(self.ast, self.samples[idx]))
+        return _raised(self._hessians[idx])
+
+    def q_report(self):
+        """q_proportional_ksq over the samples, computed once per suite; a failure re-raises to every caller."""
+        if self._q_report is None:
+            self._q_report = _outcome(lambda: hom.q_proportional_ksq(self.case_a(), self.ast, self.samples))
+        return _raised(self._q_report)
 
     def lemma1(self, idx: int):
         """Lemma 1 residuals at sample idx, relative to 1 + |k|."""
         if idx not in self._lemma1:
-            res = geo.lemma1_residuals(self.ast, self.samples[idx])
-            scale = 1.0 + abs(self.chart(idx).base.k)
-            self._lemma1[idx] = {key: r / scale for key, r in res.items()}
+            chart = self.chart(idx)
+            scale = 1.0 + abs(chart.base.k)
+            self._lemma1[idx] = {key: r / scale for key, r in geo.lemma1_residuals(chart).items()}
         return self._lemma1[idx]
 
     def sphere(self, idx: int):
         if idx not in self._spheres:
             self._spheres[idx] = cone_mod.project_to_sphere(self.ast, self.samples[idx])
         return self._spheres[idx]
+
+    def sphere_domain(self, idx: int):
+        """The DomainSample at sample idx's sphere point u; unlike the sphere and its charts, it outlives release."""
+        if idx not in self._sphere_domains:
+            sphere = self._spheres.get(idx) or cone_mod.project_to_sphere(self.ast, self.samples[idx])
+            self._sphere_domains[idx] = sphere.domain
+        return self._sphere_domains[idx]
 
     def tangent_pairs(self, idx: int, count: int, salt: int = 101):
         sphere = self.sphere(idx)
@@ -235,12 +244,35 @@ class _Context:
             self._sasaki[idx] = cone_mod.sasaki_residuals(self.sphere(idx), self.tangent_pairs(idx, 2))
         return self._sasaki[idx]
 
-    def release(self, idx: int) -> None:
-        """Drop sample idx's sphere (with its chart), Sasaki residuals, chart and Lemma 1 residuals.
+    def hand_over(self, idx: int, stencils) -> None:
+        """Newton-invert the chart points that ``stencils`` give at sample idx, one stack per chart.
 
-        The flat Hessians stay, for ``eq.ma.spread``.
+        A stencil is a function (ctx, idx) -> (chart, points); one that
+        several checks share is asked once.  A hand-over never raises: a
+        stencil that cannot be formed is left out, and a row that fails is
+        not memoised, so the check that needs it inverts it again and raises
+        the error it raises alone.
         """
-        for memo in (self._spheres, self._sasaki, self._charts, self._lemma1):
+        stacks = {}
+        for stencil in dict.fromkeys(stencils):
+            try:
+                chart, points = stencil(self, idx)
+            except _CHECK_ERRORS:
+                continue
+            stacks.setdefault(chart, []).extend(points)
+        for chart, points in stacks.items():
+            chart.points(points)
+
+    def release(self, idx: int) -> None:
+        """Drop sample idx's sphere (with its charts), Sasaki residuals, chart and Lemma 1 residuals.
+
+        The flat Hessians stay, for ``eq.ma.spread``, and so does the
+        sphere's DomainSample at u, for ``sec5.remark2.sigma_xq``.
+        """
+        sphere = self._spheres.pop(idx, None)
+        if sphere is not None:
+            self._sphere_domains[idx] = sphere.domain
+        for memo in (self._sasaki, self._charts, self._lemma1):
             memo.pop(idx, None)
 
     def is_fs(self) -> bool:
@@ -250,6 +282,21 @@ class _Context:
         if self.signature is None:
             return None
         return hom.case_a(self.config.n_vars - 1, signature=self.signature)
+
+
+def _outcome(compute):
+    """compute(), or the check error it raised."""
+    try:
+        return compute()
+    except _CHECK_ERRORS as exc:
+        return exc
+
+
+def _raised(outcome):
+    """An outcome of :func:`_outcome`, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +345,18 @@ def _chk_sigma_length(ctx, idx, z):
     return abs(float(sp.sigma @ sp.domain.g @ sp.sigma) - sp.kappa)
 
 
+# The seeded tangent pairs each sphere check with a stencil draws at u:
+# (count, salt) for ctx.tangent_pairs.
+_GAUSS_PAIRS = (2, 103)
+_SHAPE_PAIRS = (2, 104)
+_RADIAL_PAIRS = (1, 105)
+_POSITION_PAIRS = (1, 106)
+
+
 def _chk_gauss(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
-    for X, Y in ctx.tangent_pairs(idx, 2, salt=103):
+    for X, Y in ctx.tangent_pairs(idx, *_GAUSS_PAIRS):
         split = cone_mod.gauss_split(sp, X, Y)
         worst = max_or_nan(worst, abs(split.normal_coeff - sp.domain.g_form(X, Y)))
     return worst
@@ -310,7 +365,7 @@ def _chk_gauss(ctx, idx, z):
 def _chk_shape(ctx, idx, z):
     sp = ctx.sphere(idx)
     worst = 0.0
-    for X, _ in ctx.tangent_pairs(idx, 2, salt=104):
+    for X, _ in ctx.tangent_pairs(idx, *_SHAPE_PAIRS):
         worst = max_or_nan(worst, cone_mod.shape_residual(sp, X))
     return worst
 
@@ -324,51 +379,50 @@ def _chk_volume(ctx, idx, z):
 
 
 def _chk_hamiltonian(ctx, idx, z):
-    return cone_mod.hamiltonian_field_residual(ctx.sphere(idx))
+    return cone_mod.hamiltonian_field_residual(ctx.sphere(idx).domain)
 
 
 def _chk_warped_radial(ctx, idx, z):
     sp = ctx.sphere(idx)
-    (X, Y), = ctx.tangent_pairs(idx, 1, salt=105)
+    (X, Y), = ctx.tangent_pairs(idx, *_RADIAL_PAIRS)
     return cone_mod.warped_product_residuals(sp, _WARPED_R, X, Y)
 
 
 def _chk_warped_position(ctx, idx, z):
     sp = ctx.sphere(idx)
-    (X, _), = ctx.tangent_pairs(idx, 1, salt=106)
+    (X, _), = ctx.tangent_pairs(idx, *_POSITION_PAIRS)
     return cone_mod.warped_position_residual(sp, _WARPED_R, X)
 
 
 def _chk_submersion(ctx, idx, z):
-    sp = ctx.sphere(idx)
+    dom = ctx.sphere(idx).domain
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=107):
-        Xh = proj.horizontal_project(ctx.ast, sp.u, X)
-        worst = max_or_nan(worst, proj.submersion_residual(ctx.ast, sp.u, Xh))
+        worst = max_or_nan(worst, proj.submersion_residual(dom, proj.horizontal_project(dom, X)))
     return worst
 
 
 def _chk_pkm_vertical(ctx, idx, z):
-    return proj.pkm_vertical_residual(ctx.ast, ctx.sphere(idx).u)
+    return proj.pkm_vertical_residual(ctx.sphere(idx).domain)
 
 
 def _chk_pkm_pullback(ctx, idx, z):
-    sp = ctx.sphere(idx)
+    dom = ctx.sphere(idx).domain
     worst = 0.0
     for X, _ in ctx.tangent_pairs(idx, 2, salt=108):
-        worst = max_or_nan(worst, proj.pkm_pullback_residual(ctx.ast, sp.u, X))
+        worst = max_or_nan(worst, proj.pkm_pullback_residual(dom, X))
     return worst
 
 
 def _chk_pkm_scale(ctx, idx, z):
     sp = ctx.sphere(idx)
     (X, _), = ctx.tangent_pairs(idx, 1, salt=109)
-    return proj.pkm_scale_residual(ctx.ast, sp.u, X, _PKM_LAMBDA)
+    return proj.pkm_scale_residual(ctx.ast, sp.domain, X, _PKM_LAMBDA)
 
 
 def _chk_pkm_gram(ctx, idx, z):
     sp = ctx.sphere(idx)
-    det = proj.horizontal_gram_determinant(ctx.ast, sp.u, sp.frame)
+    det = proj.horizontal_gram_determinant(sp.domain, sp.frame)
     return _GRAM_FLOOR / det if det > 0 else float("inf")
 
 
@@ -391,23 +445,65 @@ def _agg_ma_spread(ctx):
 
 
 def _agg_q_ratio(ctx):
-    case = ctx.case_a()
-    rep = hom.q_proportional_ksq(case, ctx.ast, ctx.samples)
+    rep = ctx.q_report()
     ctx.fitted["q_over_ksq_ratio"] = rep.ratio
     return {"samples": len(ctx.samples), "skipped": list(rep.skipped)}, rep.rel_spread
 
 
 def _agg_sigma_xq(ctx):
+    ratio = ctx.q_report().ratio
     case = ctx.case_a()
-    ratio = hom.q_proportional_ksq(case, ctx.ast, ctx.samples).ratio
 
     def potential(w_real):
         return float(np.real(hom.quartic_eval(case, geo.to_complex(w_real)))) / ratio
 
     worst = 0.0
     for idx in range(len(ctx.samples)):
-        worst = max_or_nan(worst, cone_mod.hamiltonian_field_residual(ctx.sphere(idx), potential=potential))
+        worst = max_or_nan(worst, cone_mod.hamiltonian_field_residual(ctx.sphere_domain(idx), potential=potential))
     return {"samples": len(ctx.samples)}, worst
+
+
+# ---------------------------------------------------------------------------
+# Stencils: the chart points a per-sample check differentiates across,
+# handed over before its sample's checks run (see _Context.hand_over)
+# ---------------------------------------------------------------------------
+
+
+def _st_hessian_fd(ctx, idx):
+    chart = ctx.chart(idx)
+    return chart, chart.hessian_points(chart.base.flat)
+
+
+def _st_axis(ctx, idx):
+    chart = ctx.chart(idx)
+    return chart, chart.axis_points(chart.base.flat)
+
+
+def _st_directions(pairs):
+    """The stencil at u along the first vector of each tangent pair a check draws with ``pairs``."""
+    def stencil(ctx, idx):
+        sp = ctx.sphere(idx)
+        return sp.chart, [w for X, _ in ctx.tangent_pairs(idx, *pairs) for w in cone_mod.direction_points(sp, X)]
+    return stencil
+
+
+def _st_scaled(pairs):
+    """The stencil at r·u along r X, for the first vector X of the tangent pair a check draws with ``pairs``."""
+    def stencil(ctx, idx):
+        sp = ctx.sphere(idx)
+        (X, _), = ctx.tangent_pairs(idx, *pairs)
+        return sp.scaled_chart(_WARPED_R), cone_mod.warped_points(sp, _WARPED_R, X)
+    return stencil
+
+
+def _st_mean_curvature(ctx, idx):
+    sp = ctx.sphere(idx)
+    return sp.chart, [w for T in sp.frame for w in cone_mod.direction_points(sp, T)]
+
+
+def _st_sasaki(ctx, idx):
+    sp = ctx.sphere(idx)
+    return sp.chart, cone_mod.sasaki_points(sp, ctx.tangent_pairs(idx, 2))
 
 
 _SEC5_CASES = {
@@ -478,6 +574,7 @@ class _Check:
     runner: object
     applicable: object = _always
     cap: int | None = None  # per-sample checks run on at most this many samples
+    stencils: tuple = ()    # each (ctx, idx) -> (chart, points): what the check differentiates across
 
 
 _REGISTRY = {
@@ -488,27 +585,38 @@ _REGISTRY = {
     "lemma1.g_xi_dk": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"]),
     "lemma1.g_xi_xi": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r3"]),
     "cor.npotential.flat_hessian": _Check("domain", 1e-8, _chk_npotential),
-    "oracle.flat_hessian_fd": _Check("domain", 1e-5, _chk_hessian_oracle, cap=50),
-    "prop.xi.flat_position": _Check("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.ast, z)),
-    "cone.metric_scaling": _Check("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.ast, z)),
-    "flat.omega_parallel": _Check("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i))),
-    "eq.special.dnabla_j": _Check("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i))),
-    "contact.d_eta": _Check("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i))),
+    "oracle.flat_hessian_fd": _Check("domain", 1e-5, _chk_hessian_oracle, cap=50, stencils=(_st_hessian_fd,)),
+    "prop.xi.flat_position": _Check("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.chart(i))),
+    "cone.metric_scaling": _Check("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.chart(i))),
+    "flat.omega_parallel": _Check("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i)),
+                                  stencils=(_st_axis,)),
+    "eq.special.dnabla_j": _Check("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i)),
+                                  stencils=(_st_axis,)),
+    "contact.d_eta": _Check("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i)), stencils=(_st_axis,)),
     "eq.ma.spread": _Check("aggregate", 1e-6, _agg_ma_spread),
     "sphere.on_level": _Check("sphere", 1e-10, _chk_sphere_level, _if_spheres),
     "sphere.frame_tangency": _Check("sphere", 1e-10, _chk_frame_tangency, _if_spheres),
     "sphere.sigma_length": _Check("sphere", 1e-8, _chk_sigma_length, _if_spheres),
-    "thm.affinesphere.gauss": _Check("sphere", "chart_fd", _chk_gauss, _if_spheres),
-    "thm.affinesphere.shape": _Check("sphere", 1e-6, _chk_shape, _if_spheres),
-    "thm.affinesphere.mean_curvature": _Check("sphere", 1e-6, _chk_mean_curvature, _if_spheres),
+    "thm.affinesphere.gauss": _Check("sphere", "chart_fd", _chk_gauss, _if_spheres,
+                                     stencils=(_st_directions(_GAUSS_PAIRS),)),
+    "thm.affinesphere.shape": _Check("sphere", 1e-6, _chk_shape, _if_spheres,
+                                     stencils=(_st_directions(_SHAPE_PAIRS),)),
+    "thm.affinesphere.mean_curvature": _Check("sphere", 1e-6, _chk_mean_curvature, _if_spheres,
+                                              stencils=(_st_mean_curvature,)),
     "thm.affinesphere.volume": _Check("sphere", 1e-5, _chk_volume, _if_spheres),
-    "sasaki.killing": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres),
-    "sasaki.structure": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres),
-    "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres),
-    "sasaki.contact": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres),
+    "sasaki.killing": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres,
+                             stencils=(_st_sasaki,)),
+    "sasaki.structure": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres,
+                               stencils=(_st_sasaki,)),
+    "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres,
+                                     stencils=(_st_sasaki,)),
+    "sasaki.contact": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres,
+                             stencils=(_st_sasaki,)),
     "remark2.hamiltonian": _Check("sphere", 1e-5, _chk_hamiltonian, _if_spheres),
-    "eq.wpr.radial": _Check("sphere", 1e-6, _chk_warped_radial, _if_spheres),
-    "eq.wpr.position": _Check("sphere", 1e-6, _chk_warped_position, _if_spheres),
+    "eq.wpr.radial": _Check("sphere", 1e-6, _chk_warped_radial, _if_spheres,
+                            stencils=(_st_directions(_RADIAL_PAIRS), _st_scaled(_RADIAL_PAIRS))),
+    "eq.wpr.position": _Check("sphere", 1e-6, _chk_warped_position, _if_spheres,
+                              stencils=(_st_scaled(_POSITION_PAIRS),)),
     "prop.hyperspheres.submersion": _Check("sphere", 1e-5, _chk_submersion, _if_spheres),
     "eq.pkm.vertical": _Check("sphere", 1e-10, _chk_pkm_vertical, _if_spheres),
     "eq.pkm.pullback": _Check("sphere", 1e-8, _chk_pkm_pullback, _if_spheres),
@@ -583,9 +691,10 @@ def _result(cid: str, tol: float, point: dict, run) -> CheckResult:
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Execute the selected checks, never aborting on individual errors.
 
-    The per-sample checks run sample by sample, and a sample's spheres and
-    charts are dropped once its checks are done; the aggregate and global
-    checks run after.
+    The per-sample checks run sample by sample: the chart points their
+    stencils differentiate across are handed over first, as one Newton
+    stack per chart, and a sample's spheres and charts are dropped once its
+    checks are done.  The aggregate and global checks run after.
     """
     ctx = _Context(config)
     selected = CHECK_IDS if config.checks is None else config.checks
@@ -602,9 +711,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             (per_sample if check.kind in ("domain", "sphere") else whole).append((cid, check, tol))
     for idx, z in enumerate(ctx.samples):
         point = _point_info(idx, z)
-        for cid, check, tol in per_sample:
-            if check.cap is None or idx < check.cap:
-                results.append(_result(cid, tol, point, lambda: ({}, check.runner(ctx, idx, z))))
+        due = [(cid, check, tol) for cid, check, tol in per_sample if check.cap is None or idx < check.cap]
+        ctx.hand_over(idx, [stencil for _, check, _ in due for stencil in check.stencils])
+        for cid, check, tol in due:
+            results.append(_result(cid, tol, point, lambda: ({}, check.runner(ctx, idx, z))))
         ctx.release(idx)
     for cid, check, tol in whole:
         results.append(_result(cid, tol, {}, lambda: check.runner(ctx)))

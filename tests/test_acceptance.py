@@ -210,7 +210,7 @@ def test_criterion_5_q_ksq_and_hamiltonian():
     worst_fs = 0.0
     for z in samples[:10]:
         sp = cone.project_to_sphere(fs, z)
-        worst_fs = max(worst_fs, cone.hamiltonian_field_residual(sp))
+        worst_fs = max(worst_fs, cone.hamiltonian_field_residual(sp.domain))
     assert worst_fs < 1e-6
 
     # signature (n, 1) case, both metric branches
@@ -233,7 +233,7 @@ def test_criterion_5_q_ksq_and_hamiltonian():
     worst_sig = 0.0
     for z in sig_samples[:10]:
         sp = cone.project_to_sphere(sig, z)
-        worst_sig = max(worst_sig, cone.hamiltonian_field_residual(sp))
+        worst_sig = max(worst_sig, cone.hamiltonian_field_residual(sp.domain))
     assert worst_sig < 1e-5
     _report("5 Q = c*k^2 and sigma = X_Q",
             f"(spread {max(rep.rel_spread, rep_sig.rel_spread):.2e}, "

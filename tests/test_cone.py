@@ -244,21 +244,21 @@ def test_hamiltonian_sign_is_fitted_constant():
 
 def test_hamiltonian_fs(fs_sphere):
     sp = fs_sphere
-    assert cone.hamiltonian_field_residual(sp) < 1e-8
+    assert cone.hamiltonian_field_residual(sp.domain) < 1e-8
 
 
 def test_hamiltonian_projection_idempotent(fs_sphere):
     sp = fs_sphere
     ast = sp.chart.ast
     rescaled = cone.project_to_sphere(ast, 3.7 * sp.u)
-    a = cone.hamiltonian_field_residual(sp)
-    b = cone.hamiltonian_field_residual(rescaled)
+    a = cone.hamiltonian_field_residual(sp.domain)
+    b = cone.hamiltonian_field_residual(rescaled.domain)
     assert abs(a - b) < 1e-10
 
 
 def test_hamiltonian_stu_both_branches(stu_spheres):
     for sp in stu_spheres:
-        assert cone.hamiltonian_field_residual(sp) < 1e-5
+        assert cone.hamiltonian_field_residual(sp.domain) < 1e-5
 
 
 def test_hamiltonian_with_callable_potential(fs_sphere):
@@ -268,7 +268,7 @@ def test_hamiltonian_with_callable_potential(fs_sphere):
     def k_squared(w_real):
         return geo.kahler_potential(ast, geo.to_complex(w_real)) ** 2
 
-    assert cone.hamiltonian_field_residual(sp, potential=k_squared) < 1e-6
+    assert cone.hamiltonian_field_residual(sp.domain, potential=k_squared) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -214,34 +214,34 @@ def test_inadmissible_samples_are_flagged(stu):
 
 
 def test_lemma1_fs_exact(fs2):
-    res = geo.lemma1_residuals(fs2, np.array([1.0, 0.0], dtype=complex))
+    res = geo.lemma1_residuals(geo.FlatChart(fs2, np.array([1.0, 0.0], dtype=complex)))
     assert max(res.values()) < 1e-12
 
 
 def test_lemma1_stu(stu):
     for z in stu_points(5, seed=29):
         k = geo.kahler_potential(stu, z)
-        res = geo.lemma1_residuals(stu, z)
+        res = geo.lemma1_residuals(geo.FlatChart(stu, z))
         bound = 1e-9 * (1.0 + abs(k))
         assert res["r1"] < bound and res["r2"] < bound and res["r3"] < bound
 
 
 def test_lemma1_scaled_point_stays_small(stu):
     z = STU_BASE + 0.07
-    res = geo.lemma1_residuals(stu, 2.0 * z)
+    res = geo.lemma1_residuals(geo.FlatChart(stu, 2.0 * z))
     assert max(res.values()) < 1e-9 * (1.0 + 4.0 * abs(geo.kahler_potential(stu, z)))
 
 
 def test_xi_is_flat_position_field(stu, fs3, rng):
     for z in stu_points(3, seed=31):
-        assert geo.xi_flat_residual(stu, z) < 1e-10
+        assert geo.xi_flat_residual(geo.FlatChart(stu, z)) < 1e-10
     z3 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert geo.xi_flat_residual(fs3, z3) < 1e-10
+    assert geo.xi_flat_residual(geo.FlatChart(fs3, z3)) < 1e-10
 
 
 def test_conic_metric_scaling(stu):
     for z in stu_points(3, seed=37):
-        assert geo.metric_scaling_residual(stu, z) < 1e-10
+        assert geo.metric_scaling_residual(geo.FlatChart(stu, z)) < 1e-10
 
 
 def test_omega_parallel_in_flat_chart(stu):

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import skcone.cone as cone
+import skcone.verify as verify
 from skcone import expr
 from skcone import geometry as geo
-from skcone.errors import DegenerateMetric, EvaluationSingularity
+from skcone.errors import DegenerateMetric, EvaluationSingularity, NoConvergence
 from skcone.expr import eval_jet, jet_fd_residual, max_or_nan, parse_prepotential
 
 from conftest import STU_BASE, STU_BASE_NEG, stu_points
@@ -168,6 +169,47 @@ def test_failing_level_tangent_at_an_outer_point_raises_as_unbatched(sphere, mon
         cone.sasaki_residuals(alone, pairs)
     assert type(batched.value) is type(unbatched.value)
     assert str(batched.value) == str(unbatched.value)
+
+
+# ---------------------------------------------------------------------------
+# A suite hands every stencil at a sample over before its checks run
+# ---------------------------------------------------------------------------
+
+_STU_SUITE = verify.SuiteConfig(prepotential="z1*z2*z3/z0", n_vars=4, seed=7, sample_count=2,
+                                base_point=(1.0, 1j, 1j, 1j), sample_radius=0.15)
+
+
+def test_a_hand_over_never_raises_and_inverts_the_other_stencils(newton_rows):
+    ctx = verify._Context(_STU_SUITE)
+
+    def failing(ctx, idx):
+        raise DegenerateMetric("injected")
+
+    ctx.hand_over(0, [failing, verify._st_axis, verify._st_axis])
+    assert newton_rows == [16]
+    geo.dnabla_J_residual(ctx.chart(0))
+    assert newton_rows == [16]
+
+
+def test_a_row_that_fails_in_a_hand_over_fails_its_check_as_without_one(monkeypatch):
+    """The failed row is not memoised, so its check inverts it again and raises the same error."""
+    ctx = verify._Context(_STU_SUITE)
+    _, (poisoned, _, _, _) = verify._st_directions(verify._GAUSS_PAIRS)(ctx, 0)
+    real = geo._newton
+
+    def newton(ast, targets, *args, **kwargs):
+        out = real(ast, targets, *args, **kwargs)
+        return [NoConvergence("injected") if t.tobytes() == poisoned.tobytes() else hit
+                for t, hit in zip(targets, out)]
+
+    monkeypatch.setattr(geo, "_newton", newton)
+    config = dataclasses.replace(_STU_SUITE, checks=("thm.affinesphere.gauss", "thm.affinesphere.shape",
+                                                     "sasaki.killing", "eq.wpr.radial"))
+    handed = verify.run_suite(config)
+    monkeypatch.setattr(verify._Context, "hand_over", lambda ctx, idx, stencils: None)
+    assert verify.run_suite(config).to_json() == handed.to_json()
+    gauss = next(r for r in handed.checks if r.id == "thm.affinesphere.gauss")
+    assert gauss.point["sample"] == 0 and gauss.point["error"] == "NoConvergence: injected"
 
 
 # ---------------------------------------------------------------------------

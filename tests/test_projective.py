@@ -16,26 +16,26 @@ U0 = np.array([1.0, 0.0], dtype=complex)
 def test_vertical_vectors_project_to_zero(fs2):
     dom = geo.domain_sample(fs2, U0)
     xi = dom.xi
-    assert np.linalg.norm(proj.horizontal_project(fs2, U0, xi)) < 1e-12
-    assert np.linalg.norm(proj.horizontal_project(fs2, U0, dom.J @ xi)) < 1e-12
+    assert np.linalg.norm(proj.horizontal_project(dom, xi)) < 1e-12
+    assert np.linalg.norm(proj.horizontal_project(dom, dom.J @ xi)) < 1e-12
 
 
 def test_orthogonal_direction_unchanged(fs2):
-    assert np.allclose(proj.horizontal_project(fs2, U0, E1), E1, atol=1e-14)
+    assert np.allclose(proj.horizontal_project(geo.domain_sample(fs2, U0), E1), E1, atol=1e-14)
 
 
 def test_horizontal_projection_invariant(stu, rng):
     dom = geo.domain_sample(stu, STU_BASE)
     for _ in range(4):
         X = rng.standard_normal(8)
-        Xh = proj.horizontal_project(stu, STU_BASE, X)
+        Xh = proj.horizontal_project(dom, X)
         assert abs(dom.h_form(dom.xi, Xh)) <= 1e-10 * (1 + np.linalg.norm(Xh))
 
 
 def test_projective_sample_bundle(stu, rng):
     X = rng.standard_normal(8)
-    Xh = proj.horizontal_project(stu, STU_BASE, X)
     dom = geo.domain_sample(stu, STU_BASE)
+    Xh = proj.horizontal_project(dom, X)
     assert abs(dom.h_form(dom.xi, Xh)) <= 1e-10 * (1 + np.linalg.norm(Xh))
     # gbar ignores the vertical component of the input direction
     assert proj.projective_metric(stu, STU_BASE, Xh) == pytest.approx(
@@ -64,7 +64,7 @@ def test_pi_invariance_complex_scaling(stu, rng):
     sp = cone.project_to_sphere(stu, STU_BASE + 0.05)
     X = cone.random_tangent(sp, rng)
     for lam in (1.3 * np.exp(0.9j), 0.4 * np.exp(-2.1j)):
-        assert proj.pkm_scale_residual(stu, sp.u, X, lam) < 1e-9
+        assert proj.pkm_scale_residual(stu, geo.domain_sample(stu, sp.u), X, lam) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -74,36 +74,38 @@ def test_pi_invariance_complex_scaling(stu, rng):
 
 def test_submersion_fs(fs2, rng):
     sp = cone.project_to_sphere(fs2, np.array([1.0, 0.4 - 0.2j]))
+    dom = geo.domain_sample(fs2, sp.u)
     for _ in range(3):
-        X = proj.horizontal_project(fs2, sp.u, cone.random_tangent(sp, rng))
-        assert proj.submersion_residual(fs2, sp.u, X) < 1e-10
+        X = proj.horizontal_project(dom, cone.random_tangent(sp, rng))
+        assert proj.submersion_residual(dom, X) < 1e-10
 
 
 def test_submersion_zero_vector(fs2):
     sp = cone.project_to_sphere(fs2, np.array([2.0, 0.0], dtype=complex))
-    assert proj.submersion_residual(fs2, sp.u, np.zeros(4)) == 0.0
+    assert proj.submersion_residual(geo.domain_sample(fs2, sp.u), np.zeros(4)) == 0.0
 
 
 def test_submersion_anti_isometry_branch(stu, rng):
     sp = cone.project_to_sphere(stu, STU_BASE_NEG + 0.03)
     assert sp.kappa == -1
+    dom = geo.domain_sample(stu, sp.u)
     for _ in range(3):
-        X = proj.horizontal_project(stu, sp.u, cone.random_tangent(sp, rng))
+        X = proj.horizontal_project(dom, cone.random_tangent(sp, rng))
         # gbar(X) must equal -g(X, X) on this branch
         gbar = proj.projective_metric(stu, sp.u, X)
         assert abs(gbar + sp.domain.g_form(X, X)) < 1e-6
-        assert proj.submersion_residual(stu, sp.u, X) < 1e-6
+        assert proj.submersion_residual(dom, X) < 1e-6
 
 
 def test_submersion_rejects_nonhorizontal(stu):
     sp = cone.project_to_sphere(stu, STU_BASE)
     with pytest.raises(ValueError):
-        proj.submersion_residual(stu, sp.u, sp.sigma)
+        proj.submersion_residual(geo.domain_sample(stu, sp.u), sp.sigma)
 
 
 def test_submersion_rejects_off_level_points(stu):
     with pytest.raises(InadmissiblePoint):
-        proj.submersion_residual(stu, STU_BASE, np.zeros(8))
+        proj.submersion_residual(geo.domain_sample(stu, STU_BASE), np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +115,20 @@ def test_submersion_rejects_off_level_points(stu):
 
 def test_pullback_identity_on_horizontal(stu, rng):
     sp = cone.project_to_sphere(stu, STU_BASE + 0.02j)
+    dom = geo.domain_sample(stu, sp.u)
     for _ in range(3):
         X = cone.random_tangent(sp, rng)
-        assert proj.pkm_pullback_residual(stu, sp.u, X) < 1e-8
+        assert proj.pkm_pullback_residual(dom, X) < 1e-8
 
 
 def test_vertical_kernel(stu):
     sp = cone.project_to_sphere(stu, STU_BASE)
-    assert proj.pkm_vertical_residual(stu, sp.u) < 1e-10
+    assert proj.pkm_vertical_residual(geo.domain_sample(stu, sp.u)) < 1e-10
 
 
 def test_horizontal_gram_nondegenerate(stu):
     sp = cone.project_to_sphere(stu, STU_BASE)
-    det = proj.horizontal_gram_determinant(stu, sp.u, sp.frame)
+    det = proj.horizontal_gram_determinant(geo.domain_sample(stu, sp.u), sp.frame)
     assert det > 1e-8
 
 

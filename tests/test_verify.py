@@ -337,13 +337,17 @@ STU_CONFIG = verify.SuiteConfig(
     sample_radius=0.15,
 )
 
-# The per-sample ids that read a chart which other ids of their sample read too.
+# The per-sample ids that read a sample or chart which other ids of their sample read too.
 _CHART_SHARING = (
-    "lemma1.h_xi_dbar_k", "cor.npotential.flat_hessian", "oracle.flat_hessian_fd",
+    "lemma1.h_xi_dbar_k", "lemma1.g_xi_dk", "lemma1.g_xi_xi",
+    "cor.npotential.flat_hessian", "oracle.flat_hessian_fd",
     "flat.omega_parallel", "eq.special.dnabla_j", "contact.d_eta",
+    "prop.xi.flat_position", "cone.metric_scaling",
     "thm.affinesphere.gauss", "thm.affinesphere.shape", "thm.affinesphere.mean_curvature",
     "sasaki.killing", "sasaki.structure", "prop.asc.affine_sasaki", "sasaki.contact",
-    "eq.wpr.radial",
+    "eq.wpr.radial", "eq.wpr.position", "remark2.hamiltonian",
+    "prop.hyperspheres.submersion", "eq.pkm.vertical", "eq.pkm.pullback",
+    "eq.pkm.scale_invariance", "eq.pkm.horizontal_gram",
 )
 
 
@@ -370,11 +374,11 @@ def stu_run():
     return report, seeds, alive_after_release
 
 
-def test_a_suite_builds_at_most_four_charts_per_sample(stu_run):
+def test_a_suite_builds_at_most_three_charts_per_sample(stu_run):
     report, seeds, _ = stu_run
     assert report.all_pass
-    # per sample: one at u, one at r*u for each warped identity, one at z
-    assert len(seeds) <= 4 * STU_CONFIG.sample_count
+    # per sample: one at u, one at r*u that both warped identities share, one at z
+    assert len(seeds) <= 3 * STU_CONFIG.sample_count
 
 
 def test_no_chart_outlives_its_sample(stu_run):
@@ -389,3 +393,96 @@ def test_a_chart_sharing_check_alone_equals_its_rows_in_the_suite(stu_run, cid):
     alone = verify.run_suite(dataclasses.replace(STU_CONFIG, checks=(cid,)))
     assert len(alone.checks) == STU_CONFIG.sample_count
     assert alone.checks == tuple(r for r in report.checks if r.id == cid)
+
+
+# ---------------------------------------------------------------------------
+# one DomainSample per seed point, one Newton stack per chart and stage
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stu_counts():
+    """Per 2-sample STU suite, after sampling: the rows of every Newton call, the points of the
+    domain_sample calls that evaluate a jet of their own, and the sample points z and u."""
+    rows, fresh, points = [], [], []
+    sampled = []
+    real_newton, real_sample = geo._newton, geo.domain_sample
+    real_points, real_project = verify.sample_points, cone.project_to_sphere
+
+    def newton(ast, targets, *args, **kwargs):
+        rows.append(len(targets))
+        return real_newton(ast, targets, *args, **kwargs)
+
+    def sample(ast, z, *args, jet=None, **kwargs):
+        if sampled and jet is None:
+            fresh.append(np.asarray(z, dtype=complex).tobytes())
+        return real_sample(ast, z, *args, jet=jet, **kwargs)
+
+    def sample_points(*args, **kwargs):
+        zs = real_points(*args, **kwargs)
+        sampled.append(True)
+        points.extend(z.tobytes() for z in zs)
+        return zs
+
+    def project(ast, z):
+        sphere = real_project(ast, z)
+        points.append(sphere.u.tobytes())
+        return sphere
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_newton", newton)
+        for module in (geo, cone, verify.proj):
+            mp.setattr(module, "domain_sample", sample)
+        mp.setattr(verify, "sample_points", sample_points)
+        mp.setattr(cone, "project_to_sphere", project)
+        report = verify.run_suite(STU_CONFIG)
+    return report, rows, fresh, points
+
+
+def test_a_suite_makes_at_most_four_newton_stacks_per_sample(stu_counts):
+    report, rows, _, _ = stu_counts
+    assert report.all_pass
+    # per sample: the chart at z, the chart at u in two stages, the chart at r*u
+    assert len(rows) <= 4 * STU_CONFIG.sample_count
+
+
+def test_no_newton_stack_has_two_rows(stu_counts):
+    _, rows, _, _ = stu_counts
+    assert rows and 2 not in rows
+
+
+def test_no_sample_at_z_or_u_evaluates_its_own_jet(stu_counts):
+    """The checks read the charts' samples at z and u; only the scaled points lam z and lam u build one."""
+    _, _, fresh, points = stu_counts
+    assert fresh and len(points) == 2 * STU_CONFIG.sample_count
+    assert not set(fresh) & set(points)
+
+
+def test_stu_fs_stu_in_one_process_gives_the_same_stu_bytes():
+    first = verify.run_suite(STU_CONFIG).to_json()
+    verify.run_suite(small_config(sample_count=2))
+    assert verify.run_suite(STU_CONFIG).to_json() == first
+
+
+def test_sigma_xq_reuses_the_spheres_and_the_q_ratio(monkeypatch):
+    """One sphere per sample and one q_proportional_ksq per suite, and neither for a suite without them."""
+    spheres, ratios = [], []
+    real_project, real_ratio = cone.project_to_sphere, verify.hom.q_proportional_ksq
+
+    def project(ast, z):
+        spheres.append(z.tobytes())
+        return real_project(ast, z)
+
+    def ratio(*args):
+        ratios.append(args)
+        return real_ratio(*args)
+
+    monkeypatch.setattr(cone, "project_to_sphere", project)
+    monkeypatch.setattr(verify.hom, "q_proportional_ksq", ratio)
+    report = verify.run_suite(small_config())
+    assert report.all_pass and len(ratios) == 1
+    assert sorted(spheres) == sorted(z.tobytes() for z in verify.sample_points(small_config()))
+    spheres.clear(), ratios.clear()
+    sec5 = tuple(cid for cid in verify.CHECK_IDS if cid.endswith("homogeneity") and cid.startswith("sec5."))
+    verify.run_suite(small_config(checks=sec5))
+    assert not spheres and not ratios
