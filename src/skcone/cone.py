@@ -229,15 +229,16 @@ def _sasaki_vectors(sphere: SphereSample, pairs) -> list:
     return vectors
 
 
-def _sasaki_first_points(dom: DomainSample, vectors) -> list:
-    """The chart points that w0 and the pairs' vectors fix.
+def sasaki_points(sphere: SphereSample, pairs) -> list:
+    """The chart points at u of the first of :func:`sasaki_residuals`' two Newton stacks, bit for bit.
 
-    These are the Christoffel stencils at w0 and at the outer points of the
-    nested difference, and the direction stencils along Xf, Yf, Xcf and Ycf.
+    These are the points that w0 and the pairs' vectors fix: the Christoffel
+    stencils at w0 and at the outer points of the nested difference, and the
+    direction stencils along Xf, Yf, Xcf and Ycf.
     """
-    w0 = dom.flat
+    w0 = sphere.domain.flat
     first = FlatChart.christoffel_points(w0)
-    for *_, Xf, Yf, Xcf, Ycf in vectors:
+    for *_, Xf, Yf, Xcf, Ycf in _sasaki_vectors(sphere, pairs):
         for w in FlatChart.dir_points(w0, Xf, _OUTER_STEP):
             first += FlatChart.christoffel_points(w)
         for direction in (Xf, Yf, Xcf, Ycf):
@@ -269,11 +270,6 @@ def _sasaki_second_points(chart: FlatChart, dom: DomainSample, vectors) -> list:
     return second
 
 
-def sasaki_points(sphere: SphereSample, pairs) -> list:
-    """The chart points at u of the first of :func:`sasaki_residuals`' two Newton stacks, bit for bit."""
-    return _sasaki_first_points(sphere.domain, _sasaki_vectors(sphere, pairs))
-
-
 def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
     """Residuals of the Sasaki identities for sigma = J xi on S.
 
@@ -293,8 +289,8 @@ def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
+    chart.points(sasaki_points(sphere, pairs))
     vectors = _sasaki_vectors(sphere, pairs)
-    chart.points(_sasaki_first_points(dom, vectors))
     chart.points(_sasaki_second_points(chart, dom, vectors))
     gamma0 = chart.christoffel(w0)
     g_flat0 = chart.g_flat(w0)

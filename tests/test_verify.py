@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,46 +354,77 @@ _CHART_SHARING = (
 
 @pytest.fixture(scope="module")
 def stu_run():
-    """The 2-sample STU suite, the seed of every FlatChart it builds, and the charts alive after each release."""
-    seeds, alive_after_release = [], []
-    alive = weakref.WeakSet()
+    """The 2-sample STU suite, traced.
+
+    ``seeds``: the seed of every FlatChart built; ``alive``: the charts alive
+    after each release; ``rows``: the rows of every Newton call; after
+    sampling, ``fresh``: the points of the domain_sample calls that evaluate
+    a jet of their own, and ``points``: every sample point z and sphere point u.
+    """
+    run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[])
+    charts = weakref.WeakSet()
+    sampled = []
     real_init, real_release = geo.FlatChart.__init__, verify._Context.release
+    real_newton, real_sample = geo._newton, geo.domain_sample
+    real_points, real_project = verify.sample_points, cone.project_to_sphere
 
     def init(chart, ast, seed_z):
         real_init(chart, ast, seed_z)
-        seeds.append(np.asarray(seed_z, dtype=complex).tobytes())
-        alive.add(chart)
+        run.seeds.append(np.asarray(seed_z, dtype=complex).tobytes())
+        charts.add(chart)
 
     def release(ctx, idx):
         real_release(ctx, idx)
-        alive_after_release.append(len(alive))
+        run.alive.append(len(charts))
+
+    def newton(ast, targets, *args, **kwargs):
+        run.rows.append(len(targets))
+        return real_newton(ast, targets, *args, **kwargs)
+
+    def sample(ast, z, *args, jet=None, **kwargs):
+        if sampled and jet is None:
+            run.fresh.append(np.asarray(z, dtype=complex).tobytes())
+        return real_sample(ast, z, *args, jet=jet, **kwargs)
+
+    def sample_points(*args, **kwargs):
+        zs = real_points(*args, **kwargs)
+        sampled.append(True)
+        run.points.extend(z.tobytes() for z in zs)
+        return zs
+
+    def project(ast, z):
+        sphere = real_project(ast, z)
+        run.points.append(sphere.u.tobytes())
+        return sphere
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo.FlatChart, "__init__", init)
         mp.setattr(verify._Context, "release", release)
-        report = verify.run_suite(STU_CONFIG)
-    return report, seeds, alive_after_release
+        mp.setattr(geo, "_newton", newton)
+        for module in (geo, cone, verify.proj):
+            mp.setattr(module, "domain_sample", sample)
+        mp.setattr(verify, "sample_points", sample_points)
+        mp.setattr(cone, "project_to_sphere", project)
+        run.report = verify.run_suite(STU_CONFIG)
+    return run
 
 
 def test_a_suite_builds_at_most_three_charts_per_sample(stu_run):
-    report, seeds, _ = stu_run
-    assert report.all_pass
+    assert stu_run.report.all_pass
     # per sample: one at u, one at r*u that both warped identities share, one at z
-    assert len(seeds) <= 3 * STU_CONFIG.sample_count
+    assert len(stu_run.seeds) <= 3 * STU_CONFIG.sample_count
 
 
 def test_no_chart_outlives_its_sample(stu_run):
-    _, seeds, alive_after_release = stu_run
-    assert seeds and alive_after_release == [0] * STU_CONFIG.sample_count
+    assert stu_run.seeds and stu_run.alive == [0] * STU_CONFIG.sample_count
 
 
 @pytest.mark.parametrize("cid", _CHART_SHARING)
 def test_a_chart_sharing_check_alone_equals_its_rows_in_the_suite(stu_run, cid):
     """A memoised chart point gives the bits a fresh inversion gives, so sharing moves no result."""
-    report, _, _ = stu_run
     alone = verify.run_suite(dataclasses.replace(STU_CONFIG, checks=(cid,)))
     assert len(alone.checks) == STU_CONFIG.sample_count
-    assert alone.checks == tuple(r for r in report.checks if r.id == cid)
+    assert alone.checks == tuple(r for r in stu_run.report.checks if r.id == cid)
 
 
 # ---------------------------------------------------------------------------
@@ -400,68 +432,25 @@ def test_a_chart_sharing_check_alone_equals_its_rows_in_the_suite(stu_run, cid):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def stu_counts():
-    """Per 2-sample STU suite, after sampling: the rows of every Newton call, the points of the
-    domain_sample calls that evaluate a jet of their own, and the sample points z and u."""
-    rows, fresh, points = [], [], []
-    sampled = []
-    real_newton, real_sample = geo._newton, geo.domain_sample
-    real_points, real_project = verify.sample_points, cone.project_to_sphere
-
-    def newton(ast, targets, *args, **kwargs):
-        rows.append(len(targets))
-        return real_newton(ast, targets, *args, **kwargs)
-
-    def sample(ast, z, *args, jet=None, **kwargs):
-        if sampled and jet is None:
-            fresh.append(np.asarray(z, dtype=complex).tobytes())
-        return real_sample(ast, z, *args, jet=jet, **kwargs)
-
-    def sample_points(*args, **kwargs):
-        zs = real_points(*args, **kwargs)
-        sampled.append(True)
-        points.extend(z.tobytes() for z in zs)
-        return zs
-
-    def project(ast, z):
-        sphere = real_project(ast, z)
-        points.append(sphere.u.tobytes())
-        return sphere
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "_newton", newton)
-        for module in (geo, cone, verify.proj):
-            mp.setattr(module, "domain_sample", sample)
-        mp.setattr(verify, "sample_points", sample_points)
-        mp.setattr(cone, "project_to_sphere", project)
-        report = verify.run_suite(STU_CONFIG)
-    return report, rows, fresh, points
-
-
-def test_a_suite_makes_at_most_four_newton_stacks_per_sample(stu_counts):
-    report, rows, _, _ = stu_counts
-    assert report.all_pass
+def test_a_suite_makes_at_most_four_newton_stacks_per_sample(stu_run):
+    assert stu_run.report.all_pass
     # per sample: the chart at z, the chart at u in two stages, the chart at r*u
-    assert len(rows) <= 4 * STU_CONFIG.sample_count
+    assert len(stu_run.rows) <= 4 * STU_CONFIG.sample_count
 
 
-def test_no_newton_stack_has_two_rows(stu_counts):
-    _, rows, _, _ = stu_counts
-    assert rows and 2 not in rows
+def test_no_newton_stack_has_two_rows(stu_run):
+    assert stu_run.rows and 2 not in stu_run.rows
 
 
-def test_no_sample_at_z_or_u_evaluates_its_own_jet(stu_counts):
+def test_no_sample_at_z_or_u_evaluates_its_own_jet(stu_run):
     """The checks read the charts' samples at z and u; only the scaled points lam z and lam u build one."""
-    _, _, fresh, points = stu_counts
-    assert fresh and len(points) == 2 * STU_CONFIG.sample_count
-    assert not set(fresh) & set(points)
+    assert stu_run.fresh and len(stu_run.points) == 2 * STU_CONFIG.sample_count
+    assert not set(stu_run.fresh) & set(stu_run.points)
 
 
-def test_stu_fs_stu_in_one_process_gives_the_same_stu_bytes():
-    first = verify.run_suite(STU_CONFIG).to_json()
+def test_stu_fs_stu_in_one_process_gives_the_same_stu_bytes(stu_run):
     verify.run_suite(small_config(sample_count=2))
-    assert verify.run_suite(STU_CONFIG).to_json() == first
+    assert verify.run_suite(STU_CONFIG).to_json() == stu_run.report.to_json()
 
 
 def test_sigma_xq_reuses_the_spheres_and_the_q_ratio(monkeypatch):
@@ -479,10 +468,10 @@ def test_sigma_xq_reuses_the_spheres_and_the_q_ratio(monkeypatch):
 
     monkeypatch.setattr(cone, "project_to_sphere", project)
     monkeypatch.setattr(verify.hom, "q_proportional_ksq", ratio)
-    report = verify.run_suite(small_config())
-    assert report.all_pass and len(ratios) == 1
-    assert sorted(spheres) == sorted(z.tobytes() for z in verify.sample_points(small_config()))
+    config = small_config(sample_count=2, checks=("sphere.on_level", "sec5.remark2.q_ratio",
+                                                  "sec5.remark2.sigma_xq"))
+    assert verify.run_suite(config).all_pass and len(ratios) == 1
+    assert sorted(spheres) == sorted(z.tobytes() for z in verify.sample_points(config))
     spheres.clear(), ratios.clear()
-    sec5 = tuple(cid for cid in verify.CHECK_IDS if cid.endswith("homogeneity") and cid.startswith("sec5."))
-    verify.run_suite(small_config(checks=sec5))
+    verify.run_suite(small_config(checks=("sec5.A.homogeneity",)))
     assert not spheres and not ratios
