@@ -356,10 +356,11 @@ class FlatChart:
     with Newton's last jet, and its :class:`DomainSample` is built from that
     jet, so a chart point costs no jet beyond its Newton steps.  The chart
     also carries the fields the checks differentiate, in flat components,
-    and their chart derivatives.  :meth:`dir_points` and
-    :meth:`christoffel_points` give the points of the two derivative
-    stencils, so that a caller can hand many stencils to :meth:`points` as
-    one stack before it differentiates.
+    and their chart derivatives.  :meth:`dir_points`,
+    :meth:`christoffel_points`, :meth:`axis_points` and
+    :meth:`hessian_points` give the points of the derivative stencils, so
+    that a caller can hand many stencils to :meth:`points` as one stack
+    before it differentiates.
     """
 
     def __init__(self, ast: PrepotentialAst, seed_z):
