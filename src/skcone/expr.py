@@ -663,9 +663,11 @@ def jet_fd_residual(ast: PrepotentialAst, z, order: int = MAX_JET_ORDER) -> floa
 
     Steps along each variable with a real increment 1e-5 * max(1, |z|);
     holomorphy makes the real-direction difference the holomorphic partial.
-    The 2n offsets z + dz_j, z - dz_j of each order are evaluated as one
-    stack; a singular offset raises the error of the first one in that
-    order, as evaluating them one at a time would.
+    One jet of order ``order`` at z gives every exact tensor, since its
+    lower tensors are the same floats as a lower-order jet's.  The 2n
+    offsets z + dz_j, z - dz_j of each order are evaluated as one stack; a
+    singular offset raises the error of the first one in that order, as
+    evaluating them one at a time would.
     """
     z = np.asarray(z, dtype=complex)
     step = 1e-5 * max(1.0, float(np.linalg.norm(z)))
@@ -673,8 +675,9 @@ def jet_fd_residual(ast: PrepotentialAst, z, order: int = MAX_JET_ORDER) -> floa
     dz = step * np.eye(n, dtype=complex)
     offsets = np.stack([z + dz, z - dz], axis=1).reshape(2 * n, n)  # rows z+dz_0, z-dz_0, z+dz_1, ...
     worst = 0.0
+    jet = eval_jet(ast, z, order) if order > 0 else None
     for m in range(1, order + 1):
-        exact = eval_jet(ast, z, m).deriv(m)
+        exact = jet.deriv(m)
         scale = max(1.0, float(np.max(np.abs(exact))))
         stack = eval_jet(ast, offsets, m - 1)
         if stack.singular:

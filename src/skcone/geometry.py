@@ -18,8 +18,8 @@ J_can is the canonical Darboux matrix of the (x, y) ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,9 +44,9 @@ CHART_STEP = 1e-4   # the domain checks' stencils along the flat chart
 
 
 def to_real(z) -> np.ndarray:
-    """Complex m-vector -> real 2m-vector in (Re block, Im block) order."""
+    """Complex m-vector -> real 2m-vector in (Re block, Im block) order; a stack (P, m) gives (P, 2m)."""
     z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def to_complex(w) -> np.ndarray:
@@ -79,28 +79,126 @@ def canonical_symplectic(m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _mv(A, x) -> np.ndarray:
+    """Matrix (stack) A times vector (stack) x as (P, n, n) @ (P, n, 1): each row is ``A[p] @ x[p]`` bit for bit."""
+    return (A @ x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class DomainSample:
-    """All pointwise geometry of the conic domain at z."""
+    """All pointwise geometry of the conic domain at z, or at every row of a stack of points.
+
+    A sample stores what its admissibility gate computes: z, k, the first
+    and second derivatives f1 and tau of F, and N = Im tau.  Every other
+    field is derived from these once, on first use, and cached; on a stack
+    it is derived for all rows by one batched numpy call, whose rows equal
+    the single-point calls bit for bit.  A stack has a leading point axis
+    on every field, and ``rejected`` maps each row that failed the gate to
+    the error the single-point build raises there; :meth:`row` and
+    :meth:`admit` raise it.  A row is read through :meth:`row`, a view
+    built through ``type(self)``: not a new sample, but the same floats.
+    """
 
     z: np.ndarray          # complex (m,)
     k: float
-    dk: np.ndarray         # real covector (2m,)
-    h: np.ndarray          # complex Hermitian (m, m); here = N (real symmetric)
-    g: np.ndarray          # real symmetric (2m, 2m)
-    omega: np.ndarray      # real antisymmetric (2m, 2m)
-    J: np.ndarray          # real (2m, 2m), J^2 = -Id
-    flat: np.ndarray       # (2m,)
-    flat_jac: np.ndarray   # (2m, 2m)
+    f1: np.ndarray         # complex (m,): dF/dz
+    tau: np.ndarray        # complex symmetric (m, m): d2F/dz2
+    N: np.ndarray          # real symmetric (m, m): Im tau
+    rejected: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
-        return self.z.size
+        return self.z.shape[-1]
 
-    @property
+    def row(self, p: int) -> "DomainSample":
+        """Row p of a stacked sample as a single-point sample; raises the row's error if it was rejected."""
+        self.admit(p)
+        return type(self)(z=self.z[p], k=float(self.k[p]), f1=self.f1[p], tau=self.tau[p], N=self.N[p])
+
+    def admit(self, p: int) -> None:
+        """Raise the error of row p if the gate, or a singular flat Jacobian, rejected it."""
+        err = self.rejected.get(p)
+        if err is not None:
+            raise err.with_traceback(None)
+
+    @cached_property
     def xi(self) -> np.ndarray:
         """Position vector field at z, in the real frame."""
         return to_real(self.z)
+
+    @property
+    def J(self) -> np.ndarray:
+        """Real (2m, 2m) matrix of multiplication by i, J^2 = -Id."""
+        return complex_structure(self.m)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Complex Hermitian (m, m) form; here = N (real symmetric)."""
+        return self.N.astype(complex)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Real symmetric (2m, 2m) metric."""
+        m, N = self.m, self.N
+        g = np.zeros(N.shape[:-2] + (2 * m, 2 * m))
+        g[..., :m, :m] = N
+        g[..., m:, m:] = N
+        return g
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Real antisymmetric (2m, 2m) Kahler form."""
+        m, N = self.m, self.N
+        omega = np.zeros(N.shape[:-2] + (2 * m, 2 * m))
+        omega[..., :m, m:] = 0.5 * N
+        omega[..., m:, :m] = -0.5 * N
+        return omega
+
+    @cached_property
+    def dk(self) -> np.ndarray:
+        """Real covector (2m,) dk."""
+        dkz = _dk_z(self.tau, self.f1, self.z)
+        return np.concatenate([2.0 * dkz.real, -2.0 * dkz.imag], axis=-1)
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Flat coordinates (x, y) = (Re z, Re dF/dz), (2m,)."""
+        return np.concatenate([self.z.real, self.f1.real], axis=-1)
+
+    @cached_property
+    def flat_jac(self) -> np.ndarray:
+        """Jacobian (2m, 2m) of the flat map on the real frame; its determinant is +-det N."""
+        return _flat_jacobian(self.tau)
+
+    @cached_property
+    def flat_jac_inv(self) -> np.ndarray:
+        return self._admitted(np.linalg.inv, self.flat_jac)
+
+    def _admitted(self, solve, *args) -> np.ndarray:
+        """``solve`` (``np.linalg.inv`` or ``np.linalg.solve``) over the rows, never over a rejected one.
+
+        One batched call when no row is rejected.  A batched LAPACK call
+        raises for the whole stack if one matrix is singular, so otherwise
+        the rows run one by one: a rejected row holds NaN, and a row that
+        raises LinAlgError is rejected with it (the det N gate makes that
+        unreachable in practice, as det flat_jac = +-det N).  A single
+        point just raises.
+        """
+        if self.z.ndim == 1:
+            return solve(*args)
+        if not self.rejected:
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                pass
+        out = np.full(args[-1].shape, np.nan)
+        for p in range(len(out)):
+            if p not in self.rejected:
+                try:
+                    out[p] = solve(*(a[p] for a in args))
+                except np.linalg.LinAlgError as exc:
+                    self.rejected[p] = exc
+        return out
 
     def h_form(self, X, Y) -> complex:
         """Hermitian pairing of real-frame vectors."""
@@ -116,17 +214,44 @@ class DomainSample:
 
     def eta(self) -> np.ndarray:
         """Contact covector eta = omega(xi, .) in the real frame."""
-        return self.omega.T @ self.xi
+        return _mv(np.swapaxes(self.omega, -1, -2), self.xi)
 
     def flat_form(self, M) -> np.ndarray:
         """Flat-chart components of the bilinear form with real-frame matrix M."""
-        ji = np.linalg.inv(self.flat_jac)
-        return ji.T @ M @ ji
+        ji = self.flat_jac_inv
+        return np.swapaxes(ji, -1, -2) @ M @ ji
+
+    # The fields the chart checks differentiate, in flat components.
+
+    @cached_property
+    def g_flat(self) -> np.ndarray:
+        return self.flat_form(self.g)
+
+    @cached_property
+    def omega_flat(self) -> np.ndarray:
+        return self.flat_form(self.omega)
+
+    @cached_property
+    def J_flat(self) -> np.ndarray:
+        return self.flat_jac @ self.J @ self.flat_jac_inv
+
+    @cached_property
+    def eta_flat(self) -> np.ndarray:
+        fj_t = np.swapaxes(self.flat_jac, -1, -2)
+        return self._admitted(np.linalg.solve, fj_t, self.eta()[..., None])[..., 0]
+
+    @cached_property
+    def xi_flat(self) -> np.ndarray:
+        return _mv(self.flat_jac, self.xi)
+
+    @cached_property
+    def sigma_flat(self) -> np.ndarray:
+        return _mv(self.flat_jac, _mv(self.J, self.xi))
 
 
 def _dk_z(tau, f1, z):
-    """Holomorphic Wirtinger gradient of k: dk/dz_j."""
-    return -0.25j * (tau @ np.conj(z) - np.conj(f1))
+    """Holomorphic Wirtinger gradient of k: dk/dz_j (a stack of points gives a stack)."""
+    return -0.25j * (_mv(tau, np.conj(z)) - np.conj(f1))
 
 
 def _k_of(jet, z) -> float:
@@ -168,42 +293,39 @@ def kahler_potential(ast: PrepotentialAst, z) -> float:
 
 def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
                   jet=None) -> DomainSample:
-    """Assemble the full pointwise structure; raises on inadmissible points.
+    """Gate the point z, or every row of a stack z (P, m), and store what the gate computes.
 
-    ``jet`` is a jet of F at z of order >= 2 to build from, in place of a
-    fresh order-2 evaluation; :class:`FlatChart` passes Newton's last jet.
+    ``jet`` is a jet of F at z of order >= 2 (stacked for a stack) to build
+    from, in place of a fresh order-2 evaluation; :class:`FlatChart` passes
+    Newton's.  A single point is gated as a stack of one, and raises if it
+    is inadmissible; a stack never raises for a row, but maps it in
+    ``rejected`` to the error that row raises alone.
     """
     z = np.asarray(z, dtype=complex)
-    m = ast.n_vars
     if jet is None:
         jet = eval_jet(ast, z, 2)
-    f1 = jet.deriv(1)
-    tau = jet.deriv(2)
-
-    k = _k_of(jet, z)
-    if abs(k) < k_min:
-        raise InadmissiblePoint(f"|k| = {abs(k):.3e} below admissibility gate {k_min:.1e}")
-
+    single = z.ndim == 1
+    Z, f1, tau = (z[None], jet.deriv(1)[None], jet.deriv(2)[None]) if single else (z, jet.deriv(1), jet.deriv(2))
+    m = ast.n_vars
+    rejected = dict(jet.singular)
+    k = 0.5 * np.imag(f1[:, None, :] @ np.conj(Z)[:, :, None])[:, 0, 0]
     N = np.imag(tau)
-    det_n = float(np.linalg.det(N))
-    scale = max(1.0, float(np.linalg.norm(N)) ** m)
-    if abs(det_n) < DET_RTOL * scale:
-        raise DegenerateMetric(f"|det Im d2F| = {abs(det_n):.3e} below {DET_RTOL * scale:.3e}")
-
-    dkz = _dk_z(tau, f1, z)
-    dk = np.concatenate([2.0 * dkz.real, -2.0 * dkz.imag])
-
-    g = np.zeros((2 * m, 2 * m))
-    g[:m, :m] = N
-    g[m:, m:] = N
-    omega = np.zeros((2 * m, 2 * m))
-    omega[:m, m:] = 0.5 * N
-    omega[m:, :m] = -0.5 * N
-    J = complex_structure(m)
-
-    flat = np.concatenate([z.real, f1.real])
-    return DomainSample(z=z, k=k, dk=dk, h=N.astype(complex), g=g, omega=omega,
-                        J=J, flat=flat, flat_jac=_flat_jacobian(tau))
+    det_n = np.abs(np.linalg.det(N))
+    # The scale max(1, |N|^m) with np.linalg.norm(N[p])'s arithmetic, the dot
+    # of the raveled row: a norm over axes sums in another order.
+    bound = DET_RTOL * np.array([max(1.0, math.sqrt(r.dot(r)) ** m) for r in N.reshape(len(Z), -1)])
+    for p in np.flatnonzero((np.abs(k) < k_min) | (det_n < bound)).tolist():
+        if p in rejected:
+            continue
+        if abs(k[p]) < k_min:
+            rejected[p] = InadmissiblePoint(f"|k| = {abs(k[p]):.3e} below admissibility gate {k_min:.1e}")
+        else:
+            rejected[p] = DegenerateMetric(f"|det Im d2F| = {det_n[p]:.3e} below {bound[p]:.3e}")
+    if not single:
+        return DomainSample(z=z, k=k, f1=f1, tau=tau, N=N, rejected=rejected)
+    if rejected:
+        raise rejected[0]
+    return DomainSample(z=z, k=float(k[0]), f1=f1[0], tau=tau[0], N=N[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +357,11 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
     ``jet`` is the order-2 jet at w, or None to evaluate it.  The rows run
     together, with one stacked jet and one stacked solve per step, but each
     row stops on its own tolerance 1e-12 * (1 + |target|).  Returns, per
-    row, its converged real point with the order-2 jet there, or the error
-    that stopped it; a failing row leaves the others as they would be alone.
+    row, its converged real point with the order-2 jet there as (w, jet,
+    row): the stacked jet of the step it converged at and its row in it,
+    or, for a row that converged at w, ``jet`` and None.  A row that fails
+    returns the error that stopped it, and leaves the others as they would
+    be alone.
     """
     targets = np.asarray(targets, dtype=float)
     tols = [1e-12 * (1.0 + math.sqrt(t.dot(t))) for t in targets]
@@ -264,7 +389,7 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
         stepping = []
         for j, (i, r) in enumerate(zip(live, res)):
             if math.sqrt(r.dot(r)) <= tols[i]:
-                out[i] = (W[i], jet if jet is not None else stack.row(rows[j]))
+                out[i] = (W[i], jet, None) if jet is not None else (W[i], stack, rows[j])
             else:
                 stepping.append(j)
         if len(stepping) < len(live):
@@ -290,6 +415,11 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
     for i in live:
         out[i] = NoConvergence(f"Newton did not reach tolerance {tols[i]:.1e} in {max_steps} steps")
     return out
+
+
+def _at(values, row):
+    """Row ``row`` of a stacked jet's values or tensor; all of a single-point jet's for row None."""
+    return values if row is None else values[row]
 
 
 def _inverted(hit):
@@ -352,12 +482,12 @@ class FlatChart:
     """The flat chart around a seed point: every chart point Newton-inverted.
 
     The seed's order-2 jet is evaluated once and starts every inversion.
-    Each chart point w is memoised by ``w.tobytes()`` as its converged z
-    with Newton's last jet, and its :class:`DomainSample` is built from that
-    jet, so a chart point costs no jet beyond its Newton steps.  The chart
-    also carries the fields the checks differentiate, in flat components,
-    and their chart derivatives.  :meth:`dir_points`,
-    :meth:`christoffel_points`, :meth:`axis_points` and
+    Each chart point w is memoised by ``w.tobytes()`` as a row of one
+    stacked :class:`DomainSample` per Newton stack, built from Newton's last
+    jets, so a chart point costs no jet beyond its Newton steps.  The chart
+    also carries the fields the checks differentiate, in flat components:
+    each is computed once per stack by batched numpy and read by row.
+    :meth:`dir_points`, :meth:`christoffel_points`, :meth:`axis_points` and
     :meth:`hessian_points` give the points of the derivative stencils, so
     that a caller can hand many stencils to :meth:`points` as one stack
     before it differentiates.
@@ -369,9 +499,24 @@ class FlatChart:
         self._seed_w = to_real(seed)
         self._seed_jet = eval_jet(ast, seed, 2)
         self.base = domain_sample(ast, seed, jet=self._seed_jet)
-        self._points = {}
+        self._points = {}    # w.tobytes() -> (stacked DomainSample, row)
         self._samples = {}
         self._gammas = {}
+
+    def _memoise(self, keys, hits) -> None:
+        """Memoise the converged rows of a Newton run as the rows of one stacked DomainSample."""
+        done = [(key, hit) for key, hit in zip(keys, hits) if not isinstance(hit, Exception)]
+        if not done:
+            return
+        rows = [hit for _, hit in done]
+        value = np.array([_at(jet.value, row) for _, jet, row in rows])
+        f1 = np.array([_at(jet.derivs[0], row) for _, jet, row in rows])
+        tau = np.array([_at(jet.derivs[1], row) for _, jet, row in rows])
+        # a gathered view of Newton's jets, not an evaluation: built through type()
+        stacked = type(self._seed_jet)(2, value, (f1, tau), {})
+        sample = domain_sample(self.ast, to_complex(np.array([w for w, _, _ in rows])), jet=stacked)
+        for p, (key, _) in enumerate(done):
+            self._points[key] = (sample, p)
 
     def points(self, W) -> None:
         """Newton-invert, all at once, every chart point (row of W) not yet memoised.
@@ -385,57 +530,59 @@ class FlatChart:
             if key not in self._points:
                 todo.setdefault(key, w)
         if todo:
-            hits = _newton(self.ast, list(todo.values()), self._seed_w, self._seed_jet)
-            done = [(key, hit) for key, hit in zip(todo, hits) if not isinstance(hit, Exception)]
-            if done:
-                zs = to_complex(np.array([w for _, (w, _) in done]))
-                for (key, (_, jet)), z in zip(done, zs):
-                    self._points[key] = (z, jet)
+            self._memoise(todo, _newton(self.ast, list(todo.values()), self._seed_w, self._seed_jet))
 
-    def point(self, w):
-        """The Newton-inverted z of chart point w, with the order-2 jet of F at z."""
+    def point(self, w) -> tuple:
+        """The stacked DomainSample that holds chart point w, and w's row in it.
+
+        A point not yet memoised is inverted alone; a failed inversion raises its error.
+        """
         key = w.tobytes()
         hit = self._points.get(key)
         if hit is None:
-            w_conv, jet = _inverted(_newton(self.ast, [w], self._seed_w, self._seed_jet)[0])
-            hit = self._points[key] = (to_complex(w_conv), jet)
+            hits = _newton(self.ast, [w], self._seed_w, self._seed_jet)
+            _inverted(hits[0])
+            self._memoise([key], hits)
+            hit = self._points[key]
         return hit
 
     def k(self, w) -> float:
-        z, jet = self.point(w)
-        return _k_of(jet, z)
+        sample, p = self.point(w)
+        return float(sample.k[p])
 
     def sample(self, w) -> DomainSample:
         key = w.tobytes()
         hit = self._samples.get(key)
         if hit is None:
-            z, jet = self.point(w)
-            hit = self._samples[key] = domain_sample(self.ast, z, jet=jet)
+            sample, p = self.point(w)
+            hit = self._samples[key] = sample.row(p)
         return hit
 
+    def _field(self, name: str, w) -> np.ndarray:
+        """Row w of a chart field of w's stacked sample; raises w's error if its row was rejected."""
+        sample, p = self.point(w)
+        values = getattr(sample, name)
+        values.flags.writeable = False   # shared by every row of the stack
+        sample.admit(p)
+        return values[p]
+
     def g_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_form(s.g)
+        return self._field("g_flat", w)
 
     def omega_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_form(s.omega)
+        return self._field("omega_flat", w)
 
     def J_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_jac @ s.J @ np.linalg.inv(s.flat_jac)
+        return self._field("J_flat", w)
 
     def eta_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return np.linalg.solve(s.flat_jac.T, s.eta())
+        return self._field("eta_flat", w)
 
     def xi_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_jac @ s.xi
+        return self._field("xi_flat", w)
 
     def sigma_flat(self, w) -> np.ndarray:
-        s = self.sample(w)
-        return s.flat_jac @ (s.J @ s.xi)
+        return self._field("sigma_flat", w)
 
     def level_tangent_flat(self, w, Y0) -> np.ndarray:
         """Level-set projection of the constant vector Y0, in flat components."""
@@ -510,7 +657,7 @@ def _k_real_hessian(sample: DomainSample, f3) -> np.ndarray:
     m = sample.m
     # A_jl = d2k/dz_j dz_l = (1/4i) sum_i F3_ijl conj(z_i);  B = N/2 is real.
     A = -0.25j * np.einsum("ijl,i->jl", f3, np.conj(z))
-    N = np.real(sample.h)
+    N = sample.N
     H = np.zeros((2 * m, 2 * m))
     H[:m, :m] = 2.0 * A.real + N
     H[:m, m:] = -2.0 * A.imag
@@ -526,7 +673,7 @@ def flat_hessian_of_k(ast: PrepotentialAst, z) -> np.ndarray:
     s = domain_sample(ast, z, jet=jet)
     f3 = jet.deriv(3)
     H_w = _k_real_hessian(s, f3)
-    jac_inv = np.linalg.inv(s.flat_jac)
+    jac_inv = s.flat_jac_inv
     grad_flat = jac_inv.T @ s.dk
     corrected = H_w - np.einsum("c,cab->ab", grad_flat, _flat_hessian_tensor(f3))
     return jac_inv.T @ corrected @ jac_inv
@@ -590,12 +737,11 @@ def det_spread(hessian_of, points) -> MongeAmpereReport:
 def lemma1_residuals(chart: FlatChart) -> dict:
     """Residuals of h(xi,.) = 2 dbar k, g(xi,.) = dk, g(xi,xi) = 2k at the chart's seed.
 
-    They read the chart's base sample and its seed jet, so they cost no jet.
+    They read the chart's base sample, so they cost no jet.
     """
     s = chart.base
-    jet = chart._seed_jet
     zc = s.z
-    dkz = _dk_z(jet.deriv(2), jet.deriv(1), zc)
+    dkz = _dk_z(s.tau, s.f1, zc)
     h_xi = s.h @ zc                        # components of h(xi, .) in dzbar
     r1 = float(np.linalg.norm(h_xi - 2.0 * np.conj(dkz)))
     xi = s.xi

@@ -194,7 +194,7 @@ class _Context:
         return np.random.default_rng([self.config.seed, salt, idx])
 
     def chart(self, idx: int):
-        """The flat chart seeded at sample idx, whose base, seed jet and stencils the domain checks at z share."""
+        """The flat chart seeded at sample idx, whose base and stencils the domain checks at z share."""
         if idx not in self._charts:
             self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
         return self._charts[idx]

@@ -21,7 +21,7 @@ import pytest
 
 from skcone import expr, verify
 from skcone import geometry as geo
-from skcone.errors import DegenerateMetric, NoConvergence
+from skcone.errors import DegenerateMetric, InadmissiblePoint, NoConvergence
 
 from conftest import STU_BASE, stu_points
 
@@ -42,9 +42,16 @@ def jets(monkeypatch):
     return calls
 
 
+STORED = ("z", "k", "f1", "tau", "N")
+DERIVED = ("xi", "J", "h", "g", "omega", "dk", "flat", "flat_jac", "flat_jac_inv")
+CHART_FIELDS = ("g_flat", "omega_flat", "J_flat", "eta_flat", "xi_flat", "sigma_flat")
+
+
 def _assert_samples_equal(a, b):
-    for f in dataclasses.fields(geo.DomainSample):
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    """Every stored, derived and chart field of two single-point samples, byte for byte."""
+    for name in STORED + DERIVED + CHART_FIELDS:
+        assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes(), name
+    assert a.eta().tobytes() == b.eta().tobytes()
 
 
 def _stencil(w0, count, seed, scale):
@@ -112,14 +119,16 @@ def test_chart_point_costs_only_its_newton_steps(stu, jets):
 # ---------------------------------------------------------------------------
 
 
-def _entry_bytes(z, jet):
-    return [np.asarray(z).tobytes(), np.complex128(jet.value).tobytes()] + [d.tobytes() for d in jet.derivs]
+def _entry_bytes(sample, row):
+    """What a memo entry (stacked sample, row) holds for its chart point: z, k, f1, tau and N."""
+    fields = (sample.z, sample.k, sample.f1, sample.tau, sample.N)
+    return [np.asarray(f if row is None else f[row]).tobytes() for f in fields]
 
 
 def _alone(chart, w):
-    """The chart point of w from a one-row Newton run."""
-    w_conv, jet = geo._inverted(geo._newton(chart.ast, [w], chart._seed_w, chart._seed_jet)[0])
-    return geo.to_complex(w_conv), jet
+    """The chart point of w from a one-row Newton run, built as a single-point sample."""
+    w_conv, jet, row = geo._inverted(geo._newton(chart.ast, [w], chart._seed_w, chart._seed_jet)[0])
+    return geo.domain_sample(chart.ast, geo.to_complex(w_conv), jet=jet if row is None else jet.row(row)), None
 
 
 def test_points_memo_is_byte_equal_to_single_inversions(stu, monkeypatch):
@@ -204,3 +213,120 @@ def test_stencils_evaluate_one_jet_per_newton_round(stu, jets):
     jets.clear()
     chart.dir_deriv(chart.xi_flat, chart.base.flat, np.ones(8), geo.FIELD_STEP)
     assert [len(key) // len(seed) for _, key in jets] == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Stacked samples: every row as its single-point build
+# ---------------------------------------------------------------------------
+
+
+def _per_point(s):
+    """The derived and chart fields of a single-point sample by the per-point formulas, one numpy call each."""
+    m = s.m
+    N = np.imag(s.tau)
+    g = np.zeros((2 * m, 2 * m))
+    g[:m, :m] = N
+    g[m:, m:] = N
+    omega = np.zeros((2 * m, 2 * m))
+    omega[:m, m:] = 0.5 * N
+    omega[m:, :m] = -0.5 * N
+    jac = np.zeros((2 * m, 2 * m))
+    jac[:m, :m] = np.eye(m)
+    jac[m:, :m] = s.tau.real
+    jac[m:, m:] = -np.imag(s.tau)
+    ji = np.linalg.inv(jac)
+    dkz = -0.25j * (s.tau @ np.conj(s.z) - np.conj(s.f1))
+    xi = np.concatenate([s.z.real, s.z.imag])
+    J = geo.complex_structure(m)
+    return {"k": 0.5 * float(np.imag(np.dot(s.f1, np.conj(s.z)))), "N": N, "xi": xi, "J": J,
+            "h": N.astype(complex), "g": g, "omega": omega,
+            "dk": np.concatenate([2.0 * dkz.real, -2.0 * dkz.imag]),
+            "flat": np.concatenate([s.z.real, s.f1.real]), "flat_jac": jac, "flat_jac_inv": ji,
+            "g_flat": ji.T @ g @ ji, "omega_flat": ji.T @ omega @ ji, "J_flat": jac @ J @ np.linalg.inv(jac),
+            "eta_flat": np.linalg.solve(jac.T, omega.T @ xi), "xi_flat": jac @ xi, "sigma_flat": jac @ (J @ xi)}
+
+
+def _assert_rows_are_single_builds(chart, W):
+    """Every chart point of W, read from its stacked sample, equals domain_sample at its z and the per-point formulas."""
+    chart.points(W)
+    stacks = set()
+    for w in W:
+        stack, p = chart.point(w)
+        stacks.add(id(stack))
+        alone = geo.domain_sample(chart.ast, stack.z[p])
+        ref = _per_point(alone)
+        for name in STORED:
+            assert np.asarray(getattr(stack, name)[p]).tobytes() == np.asarray(getattr(alone, name)).tobytes(), name
+        for name in DERIVED + CHART_FIELDS:
+            assert np.asarray(getattr(alone, name)).tobytes() == ref[name].tobytes(), name
+            if name != "J":
+                assert getattr(stack, name)[p].tobytes() == ref[name].tobytes(), name
+        for name in CHART_FIELDS:
+            assert getattr(chart, name)(w).tobytes() == ref[name].tobytes(), name
+        assert chart.k(w) == ref["k"] == alone.k
+        _assert_samples_equal(chart.sample(w), alone)
+    assert len(stacks) == 1
+
+
+@pytest.mark.parametrize("name", ["fs3", "stu", "sig3"])
+def test_stacked_sample_rows_equal_single_builds(name, request):
+    ast = request.getfixturevalue(name)
+    seed = stu_points(1, seed=3)[0] if name == "stu" else np.array([0.9 + 0.2j, 0.3 - 0.4j, 0.1 + 0.2j])
+    chart = geo.FlatChart(ast, seed)
+    w0 = chart.base.flat
+    _assert_rows_are_single_builds(chart, [*chart.christoffel_points(w0), *chart.axis_points(w0),
+                                           *_stencil(w0, 6, 13, 1e-3)])
+
+
+@pytest.mark.parametrize("seed, sample", [(9, 16), (603, 0)])
+def test_borderline_hessian_stencils_equal_single_builds(stu, seed, sample):
+    """STU seed 9 sample 16 and seed 603 sample 0 fail oracle.flat_hessian_fd: there one ulp shows."""
+    inputs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "inputs.json").read_text())
+    config = verify.config_from_dict(dict(inputs["configs"]["suite_stu"], seed=seed))
+    chart = geo.FlatChart(stu, verify.sample_points(config, stu)[sample])
+    _assert_rows_are_single_builds(chart, chart.hessian_points(chart.base.flat))
+
+
+def test_rejected_rows_raise_their_single_build_error_and_leave_their_neighbours(stu):
+    Z = np.array(stu_points(5, seed=41))
+    jet = expr.eval_jet(stu, Z, 2)
+    f1, tau = jet.deriv(1).copy(), jet.deriv(2).copy()
+    tau[1] = tau[1].real   # Im tau = 0: det N = 0, and flat_jac is exactly singular
+    f1[3] = 0.0            # k = 0, below the gate
+    hand = type(jet)(2, jet.value, (f1, tau), {})
+    stack = geo.domain_sample(stu, Z, jet=hand)
+    assert sorted(stack.rejected) == [1, 3]
+    for name in DERIVED + CHART_FIELDS:   # the batched LAPACK calls see no rejected row
+        getattr(stack, name)
+    assert sorted(stack.rejected) == [1, 3]
+    for p, kind in ((1, DegenerateMetric), (3, InadmissiblePoint)):
+        with pytest.raises(kind) as alone:
+            geo.domain_sample(stu, Z[p], jet=hand.row(p))
+        for read in (stack.row, stack.admit):
+            with pytest.raises(kind) as row:
+                read(p)
+            assert str(row.value) == str(alone.value)
+    for p in (0, 2, 4):
+        alone = geo.domain_sample(stu, Z[p], jet=hand.row(p))
+        _assert_samples_equal(stack.row(p), alone)
+        for name in DERIVED + CHART_FIELDS:
+            if name != "J":
+                assert getattr(stack, name)[p].tobytes() == np.asarray(getattr(alone, name)).tobytes(), name
+
+
+def test_a_singular_flat_jacobian_past_the_gate_is_rejected_alone(stu):
+    """The det N gate keeps singular flat Jacobians out; one put in by hand fails its own row only."""
+    Z = np.array(stu_points(4, seed=43))
+    gated = geo.domain_sample(stu, Z, jet=expr.eval_jet(stu, Z, 2))
+    tau = gated.tau.copy()
+    tau[2] = tau[2].real
+    stack = dataclasses.replace(gated, tau=tau, N=np.imag(tau), rejected={})
+    inv, eta = stack.flat_jac_inv, stack.eta_flat
+    assert list(stack.rejected) == [2] and isinstance(stack.rejected[2], np.linalg.LinAlgError)
+    assert np.isnan(inv[2]).all()
+    for p in (0, 1, 3):
+        alone = stack.row(p)
+        assert inv[p].tobytes() == np.linalg.inv(alone.flat_jac).tobytes()
+        assert eta[p].tobytes() == np.linalg.solve(alone.flat_jac.T, alone.eta()).tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        stack.row(2)

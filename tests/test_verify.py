@@ -359,13 +359,15 @@ def stu_run():
     ``seeds``: the seed of every FlatChart built; ``alive``: the charts alive
     after each release; ``rows``: the rows of every Newton call; after
     sampling, ``fresh``: the points of the domain_sample calls that evaluate
-    a jet of their own, and ``points``: every sample point z and sphere point u.
+    a jet of their own, and ``points``: every sample point z and sphere point u;
+    ``calls``, ``ok`` and ``built``: the domain_sample calls, those that
+    returned, and the DomainSample objects built.
     """
-    run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[])
+    run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[], calls=0, ok=0, built=0)
     charts = weakref.WeakSet()
     sampled = []
     real_init, real_release = geo.FlatChart.__init__, verify._Context.release
-    real_newton, real_sample = geo._newton, geo.domain_sample
+    real_newton, real_sample, real_domain = geo._newton, geo.domain_sample, geo.DomainSample
     real_points, real_project = verify.sample_points, cone.project_to_sphere
 
     def init(chart, ast, seed_z):
@@ -382,9 +384,16 @@ def stu_run():
         return real_newton(ast, targets, *args, **kwargs)
 
     def sample(ast, z, *args, jet=None, **kwargs):
+        run.calls += 1
         if sampled and jet is None:
             run.fresh.append(np.asarray(z, dtype=complex).tobytes())
-        return real_sample(ast, z, *args, jet=jet, **kwargs)
+        out = real_sample(ast, z, *args, jet=jet, **kwargs)
+        run.ok += 1
+        return out
+
+    def domain(**fields):
+        run.built += 1
+        return real_domain(**fields)
 
     def sample_points(*args, **kwargs):
         zs = real_points(*args, **kwargs)
@@ -403,6 +412,7 @@ def stu_run():
         mp.setattr(geo, "_newton", newton)
         for module in (geo, cone, verify.proj):
             mp.setattr(module, "domain_sample", sample)
+        mp.setattr(geo, "DomainSample", domain)
         mp.setattr(verify, "sample_points", sample_points)
         mp.setattr(cone, "project_to_sphere", project)
         run.report = verify.run_suite(STU_CONFIG)
@@ -448,9 +458,21 @@ def test_no_sample_at_z_or_u_evaluates_its_own_jet(stu_run):
     assert not set(stu_run.fresh) & set(stu_run.points)
 
 
+def test_a_newton_stack_builds_one_domain_sample(stu_run):
+    """The chart points of a Newton stack are the rows of one stacked DomainSample, from one call."""
+    assert stu_run.calls <= 12 * STU_CONFIG.sample_count
+    assert stu_run.ok == stu_run.built > 0
+
+
 def test_stu_fs_stu_in_one_process_gives_the_same_stu_bytes(stu_run):
+    """Also at STU seed 603, whose sample 0 fails oracle.flat_hessian_fd: the same bytes and outcome twice."""
+    failing = dataclasses.replace(STU_CONFIG, seed=603, sample_count=1)
+    first = verify.run_suite(failing)
     verify.run_suite(small_config(sample_count=2))
     assert verify.run_suite(STU_CONFIG).to_json() == stu_run.report.to_json()
+    again = verify.run_suite(failing)
+    assert again.to_json() == first.to_json()
+    assert not first.all_pass and not again.all_pass
 
 
 def test_sigma_xq_reuses_the_spheres_and_the_q_ratio(monkeypatch):
