@@ -27,6 +27,7 @@ from .geometry import (  # noqa: F401
     chart_matrix_derivative,
     domain_sample,
     invert_flat_coords,
+    invert_stencils,
     kahler_potential,
 )
 from .projective import fs_prepotential
@@ -229,21 +230,18 @@ def _sasaki_vectors(sphere: SphereSample, pairs) -> list:
     return vectors
 
 
-def sasaki_points(sphere: SphereSample, pairs) -> list:
-    """The chart points at u of the first of :func:`sasaki_residuals`' two Newton stacks, bit for bit.
+def sasaki_gamma_points(sphere: SphereSample, pairs) -> list:
+    """The Christoffel stencils of :func:`sasaki_residuals`' first stack, at w0 and the outer points, bit for bit."""
+    w0, jac0 = sphere.domain.flat, sphere.domain.flat_jac
+    outer = [w for X, _ in pairs for w in FlatChart.dir_points(w0, jac0 @ np.asarray(X, dtype=float), _OUTER_STEP)]
+    return [p for w in (w0, *outer) for p in FlatChart.christoffel_points(w)]
 
-    These are the points that w0 and the pairs' vectors fix: the Christoffel
-    stencils at w0 and at the outer points of the nested difference, and the
-    direction stencils along Xf, Yf, Xcf and Ycf.
-    """
+
+def sasaki_direction_points(sphere: SphereSample, pairs) -> list:
+    """The direction stencils at w0 of :func:`sasaki_residuals`' first stack, along Xf, Yf, Xcf and Ycf, bit for bit."""
     w0 = sphere.domain.flat
-    first = FlatChart.christoffel_points(w0)
-    for *_, Xf, Yf, Xcf, Ycf in _sasaki_vectors(sphere, pairs):
-        for w in FlatChart.dir_points(w0, Xf, _OUTER_STEP):
-            first += FlatChart.christoffel_points(w)
-        for direction in (Xf, Yf, Xcf, Ycf):
-            first += FlatChart.dir_points(w0, direction, FIELD_STEP)
-    return first
+    return [w for *_, Xf, Yf, Xcf, Ycf in _sasaki_vectors(sphere, pairs)
+            for direction in (Xf, Yf, Xcf, Ycf) for w in FlatChart.dir_points(w0, direction, FIELD_STEP)]
 
 
 def _sasaki_second_points(chart: FlatChart, dom: DomainSample, vectors) -> list:
@@ -280,16 +278,17 @@ def sasaki_residuals(sphere: SphereSample, pairs) -> SasakiResiduals:
 
     Every chart point is inverted, in two stacks, before the residuals are
     differentiated, so they read memoised points.  The first stack holds the
-    points that w0 and the pairs fix (:func:`sasaki_points`, which a caller
-    may have handed over already); the second, the direction stencils whose
-    direction is a field at points of the first.
+    points that w0 and the pairs fix (:func:`sasaki_gamma_points` and
+    :func:`sasaki_direction_points`, which a caller may have handed over
+    already); the second, the direction stencils whose direction is a field
+    at points of the first.
     """
     dom = sphere.domain
     chart = sphere.chart
     w0 = dom.flat
     jac0 = dom.flat_jac
     kappa = float(sphere.kappa)
-    chart.points(sasaki_points(sphere, pairs))
+    invert_stencils([(chart, sasaki_gamma_points(sphere, pairs)), (chart, sasaki_direction_points(sphere, pairs))])
     vectors = _sasaki_vectors(sphere, pairs)
     chart.points(_sasaki_second_points(chart, dom, vectors))
     gamma0 = chart.christoffel(w0)

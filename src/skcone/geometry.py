@@ -79,6 +79,11 @@ def canonical_symplectic(m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _row_norms(R) -> np.ndarray:
+    """Each row's norm as ``math.sqrt(r.dot(r))`` gives it, bit for bit; an axis sum or einsum adds in another order."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
 def _mv(A, x) -> np.ndarray:
     """Matrix (stack) A times vector (stack) x as (P, n, n) @ (P, n, 1): each row is ``A[p] @ x[p]`` bit for bit."""
     return (A @ x[..., None])[..., 0]
@@ -114,6 +119,12 @@ class DomainSample:
         """Row p of a stacked sample as a single-point sample; raises the row's error if it was rejected."""
         self.admit(p)
         return type(self)(z=self.z[p], k=float(self.k[p]), f1=self.f1[p], tau=self.tau[p], N=self.N[p])
+
+    def take(self, rows) -> "DomainSample":
+        """Rows ``rows`` (index array) of a stack as a stack deriving its fields over them alone, built as row(p) is."""
+        index = {p: j for j, p in enumerate(rows.tolist())} if self.rejected else {}
+        return type(self)(z=self.z[rows], k=self.k[rows], f1=self.f1[rows], tau=self.tau[rows], N=self.N[rows],
+                          rejected={index[p]: err for p, err in self.rejected.items() if p in index})
 
     def admit(self, p: int) -> None:
         """Raise the error of row p if the gate, or a singular flat Jacobian, rejected it."""
@@ -311,9 +322,9 @@ def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
     k = 0.5 * np.imag(f1[:, None, :] @ np.conj(Z)[:, :, None])[:, 0, 0]
     N = np.imag(tau)
     det_n = np.abs(np.linalg.det(N))
-    # The scale max(1, |N|^m) with np.linalg.norm(N[p])'s arithmetic, the dot
-    # of the raveled row: a norm over axes sums in another order.
-    bound = DET_RTOL * np.array([max(1.0, math.sqrt(r.dot(r)) ** m) for r in N.reshape(len(Z), -1)])
+    # The scale max(1, |N|^m) with np.linalg.norm(N[p])'s arithmetic.  The
+    # power stays Python's: numpy's array power differs from it in the last bit.
+    bound = DET_RTOL * np.array([max(1.0, r ** m) for r in _row_norms(N.reshape(len(Z), -1)).tolist()])
     for p in np.flatnonzero((np.abs(k) < k_min) | (det_n < bound)).tolist():
         if p in rejected:
             continue
@@ -352,74 +363,61 @@ def _solve_rows(jacs, res):
 
 
 def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
-    """Newton-invert the flat map at every row of ``targets``, all starting from the real point w.
+    """Newton-invert the flat map at every row of ``targets``, from the real seed w of all rows or of each (P, 2m).
 
-    ``jet`` is the order-2 jet at w, or None to evaluate it.  The rows run
-    together, with one stacked jet and one stacked solve per step, but each
-    row stops on its own tolerance 1e-12 * (1 + |target|).  Returns, per
-    row, its converged real point with the order-2 jet there as (w, jet,
-    row): the stacked jet of the step it converged at and its row in it,
-    or, for a row that converged at w, ``jet`` and None.  A row that fails
-    returns the error that stopped it, and leaves the others as they would
-    be alone.
+    ``jet`` is the order-2 jet at the seed (stacked for per-row seeds), or
+    None to evaluate it.  The rows run together, with one stacked jet and
+    one stacked solve per step, but each row stops on its own tolerance
+    1e-12 * (1 + |target|).  Returns, per row, (w, jet, row): its converged
+    point, the stacked jet of the step it converged at and its row there
+    (``jet`` and None at a single seed); or the error that stopped the row,
+    which leaves the others as they would be alone.
     """
     targets = np.asarray(targets, dtype=float)
-    tols = [1e-12 * (1.0 + math.sqrt(t.dot(t))) for t in targets]
+    tols = 1e-12 * (1.0 + _row_norms(targets))
     m = ast.n_vars
-    W = np.tile(w, (len(targets), 1))
+    W = np.array(np.broadcast_to(w, targets.shape))
     out = [None] * len(targets)
-    live = list(range(len(targets)))   # rows still stepping
+    live = np.arange(len(targets))   # rows still stepping
     for _ in range(max_steps):
         if jet is None:
-            stack = eval_jet(ast, to_complex(W[live]), 2)
-            f1, tau, rows = stack.deriv(1), stack.deriv(2), range(len(live))
-            if stack.singular:
-                for j, exc in stack.singular.items():
+            jet = eval_jet(ast, to_complex(W[live]), 2)
+            rows = np.arange(len(live))   # each live row's row in the jet
+            if jet.singular:
+                for j, exc in jet.singular.items():
                     out[live[j]] = NoConvergence(f"hit a singular point during Newton: {exc}")
                     out[live[j]].__cause__ = exc
-                rows = [j for j in rows if j not in stack.singular]
-                live, f1, tau = [live[j] for j in rows], f1[rows], tau[rows]
-        else:  # the first step: every row is still at w
-            f1, tau = jet.deriv(1)[None], jet.deriv(2)[None]
+                rows = np.setdiff1d(rows, list(jet.singular))
+                live = live[rows]
+        else:  # the first step: every row is still at its seed
+            rows = None if np.ndim(jet.value) == 0 else live
+        f1, tau = jet.deriv(1)[rows], jet.deriv(2)[rows]   # a single seed's jet gains a row axis
         res = W[live]              # the flat coordinates (x, Re dF/dz), minus the targets
         res[:, m:] = f1.real
         res -= targets[live]
-        # The norm row by row, as np.linalg.norm computes it for a real vector:
-        # a reduction along axis 1 sums in another order.
-        stepping = []
-        for j, (i, r) in enumerate(zip(live, res)):
-            if math.sqrt(r.dot(r)) <= tols[i]:
-                out[i] = (W[i], jet, None) if jet is not None else (W[i], stack, rows[j])
-            else:
-                stepping.append(j)
-        if len(stepping) < len(live):
-            if not stepping:
+        done = _row_norms(res) <= tols[live]
+        if done.any():
+            ends = [None] * int(done.sum()) if rows is None else rows[done].tolist()
+            for i, row in zip(live[done].tolist(), ends):
+                out[i] = (W[i], jet, row)
+            live, res, tau = live[~done], res[~done], tau if rows is None else tau[~done]
+            if not len(live):
                 return out
-            live, res = [live[j] for j in stepping], res[stepping]
-            if jet is None:
-                tau = tau[stepping]
         steps, singular = _solve_rows(_flat_jacobian(tau), res)
-        finite = np.isfinite(steps).all(axis=1)
-        if singular or not finite.all():
-            for j, i in enumerate(live):
-                if j in singular:
-                    out[i] = DegenerateMetric("flat-coordinate Jacobian is singular")
-                elif not finite[j]:
-                    out[i] = DegenerateMetric("flat-coordinate Jacobian is numerically singular")
-            kept = [j for j, i in enumerate(live) if out[i] is None]
-            if not kept:
+        bad = ~np.isfinite(steps).all(axis=1)
+        bad[singular] = True
+        if bad.any():
+            for j in np.flatnonzero(bad).tolist():
+                kind = "singular" if j in singular else "numerically singular"
+                out[live[j]] = DegenerateMetric(f"flat-coordinate Jacobian is {kind}")
+            live, steps = live[~bad], steps[~bad]
+            if not len(live):
                 return out
-            live, steps = [live[j] for j in kept], steps[kept]
         W[live] -= steps
         jet = None
-    for i in live:
+    for i in live.tolist():
         out[i] = NoConvergence(f"Newton did not reach tolerance {tols[i]:.1e} in {max_steps} steps")
     return out
-
-
-def _at(values, row):
-    """Row ``row`` of a stacked jet's values or tensor; all of a single-point jet's for row None."""
-    return values if row is None else values[row]
 
 
 def _inverted(hit):
@@ -450,14 +448,20 @@ def _central(field, w, dw, h) -> np.ndarray:
     return (hi - lo) / (2.0 * h)
 
 
+def _norm(v) -> float:
+    """np.linalg.norm of a real vector with its arithmetic (the dot of the contiguous vector), without its dispatch."""
+    v = np.ravel(v)
+    return math.sqrt(v.dot(v))
+
+
 def _chart_step(w, step: float) -> float:
     """A stencil's step at chart point w: ``step`` scaled by 1 + |w|."""
-    return step * (1.0 + float(np.linalg.norm(w)))
+    return step * (1.0 + _norm(w))
 
 
 def _direction_stencil(w, direction, step: float) -> tuple:
     """(|direction|, h, dw) of the stencil w +- dw along ``direction``; dw is None for a zero direction."""
-    norm = float(np.linalg.norm(direction))
+    norm = _norm(direction)
     if norm == 0.0:
         return norm, None, None
     h = _chart_step(w, step)
@@ -470,27 +474,98 @@ def _axis_stencil(w0, step: float) -> np.ndarray:
     return np.concatenate([w0 + dw, w0 - dw])
 
 
+def _gather(entries, *fields) -> list:
+    """Each of ``fields`` (a function of a stack) at every (stack, row) of ``entries``: one fancy-index per stack."""
+    groups = {}   # id(stack) -> (stack, positions in entries, rows in stack)
+    for q, (stack, row) in enumerate(entries):
+        slot = groups.setdefault(id(stack), (stack, [], []))
+        slot[1].append(q)
+        slot[2].append(row)
+    order = np.argsort(np.concatenate([pos for _, pos, _ in groups.values()]))
+    return [np.concatenate([read(stack)[rows] for stack, _, rows in groups.values()])[order] for read in fields]
+
+
 def chart_matrix_derivative(field, w0, step: float) -> np.ndarray:
     """Central differences of a (scalar, vector or matrix) field along every axis.
 
-    Returns D with D[a] = d(field)/dw_a at w0.
+    ``field`` is a function of a chart point, or a (chart, name) pair of a
+    :class:`FlatChart` field, read in one gather after its points are
+    checked in a function's order (a+, a- per axis a), so the first that
+    fails raises as there.  Returns D with D[a] = d(field)/dw_a at w0.
     """
-    return np.stack([_central(field, w0, step * e, step) for e in np.eye(w0.size)])
+    n = w0.size
+    if callable(field):
+        return np.stack([_central(field, w0, step * e, step) for e in np.eye(n)])
+    chart, name = field
+    W = _axis_stencil(w0, step)
+    entries = [None] * (2 * n)
+    for i in (i for a in range(n) for i in (a, a + n)):
+        sample, p = entries[i] = chart.point(W[i])
+        getattr(sample, name)   # deriving it may reject a row
+        sample.admit(p)
+    (V,) = _gather(entries, lambda sample: getattr(sample, name))
+    return (V[:n] - V[n:]) / (2.0 * step)
+
+
+def invert_stencils(stencils) -> list:
+    """Newton-invert, as one stack, every chart point not yet memoised of the (chart, points) pairs ``stencils``.
+
+    Each row starts from its chart's seed (the charts share a prepotential)
+    and converges as it would alone.  One :func:`domain_sample` call gates
+    the converged rows, and each pair memoises its new rows as one view of
+    that sample (:meth:`DomainSample.take`), so a field is derived only over
+    the stencils that read it; a point two pairs share is the first's.  A
+    failed row is not memoised.  Returns Newton's rows (see :func:`_newton`).
+    """
+    todo = {}   # (chart, w.tobytes()) -> (pair index, w)
+    for s, (chart, points) in enumerate(stencils):
+        for w in points:
+            key = w.tobytes()
+            if key not in chart._points:
+                todo.setdefault((chart, key), (s, w))
+    if not todo:
+        return []
+    charts = list(dict.fromkeys(chart for chart, _ in todo))
+    src = [charts.index(chart) for chart, _ in todo]
+    # Each row's seed jet, gathered from its chart's: a view of evaluated
+    # jets, not an evaluation, so it is built through type().
+    jets = [chart._seed_jet for chart in charts]
+    jet = type(jets[0])(2, np.array([j.value for j in jets])[src],
+                        tuple(np.array([j.deriv(d) for j in jets])[src] for d in (1, 2)), {})
+    ast = charts[0].ast
+    hits = _newton(ast, np.array([w for _, w in todo.values()]),
+                   np.array([chart._seed_w for chart in charts])[src], jet)
+    kept = [p for p, hit in enumerate(hits) if not isinstance(hit, Exception)]
+    if kept:
+        value, f1, tau = _gather([hits[p][1:] for p in kept], lambda j: j.value, lambda j: j.deriv(1),
+                                 lambda j: j.deriv(2))
+        sample = domain_sample(ast, to_complex(np.array([hits[p][0] for p in kept])),
+                               jet=type(jet)(2, value, (f1, tau), {}))
+        entries = list(todo.items())
+        pairs = np.array([entries[p][1][0] for p in kept])
+        for s in dict.fromkeys(pairs.tolist()):
+            rows = np.flatnonzero(pairs == s)
+            view = sample.take(rows)
+            for j, q in enumerate(rows.tolist()):
+                chart, key = entries[kept[q]][0]
+                chart._points[key] = (view, j)
+    return hits
 
 
 class FlatChart:
     """The flat chart around a seed point: every chart point Newton-inverted.
 
     The seed's order-2 jet is evaluated once and starts every inversion.
-    Each chart point w is memoised by ``w.tobytes()`` as a row of one
-    stacked :class:`DomainSample` per Newton stack, built from Newton's last
-    jets, so a chart point costs no jet beyond its Newton steps.  The chart
-    also carries the fields the checks differentiate, in flat components:
-    each is computed once per stack by batched numpy and read by row.
-    :meth:`dir_points`, :meth:`christoffel_points`, :meth:`axis_points` and
+    Each chart point w is memoised by ``w.tobytes()`` as a row of the
+    stacked :class:`DomainSample` of the stencil it was inverted with (see
+    :func:`invert_stencils`), built from Newton's last jets, so a chart
+    point costs no jet beyond its Newton steps.  The chart also carries the
+    fields the checks differentiate, in flat components: each is computed
+    once per stencil by batched numpy and read by row.  :meth:`dir_points`,
+    :meth:`christoffel_points`, :meth:`axis_points` and
     :meth:`hessian_points` give the points of the derivative stencils, so
-    that a caller can hand many stencils to :meth:`points` as one stack
-    before it differentiates.
+    that a caller can hand many stencils, of one chart or several, to
+    :func:`invert_stencils` as one stack before it differentiates.
     """
 
     def __init__(self, ast: PrepotentialAst, seed_z):
@@ -499,38 +574,13 @@ class FlatChart:
         self._seed_w = to_real(seed)
         self._seed_jet = eval_jet(ast, seed, 2)
         self.base = domain_sample(ast, seed, jet=self._seed_jet)
-        self._points = {}    # w.tobytes() -> (stacked DomainSample, row)
+        self._points = {}    # w.tobytes() -> (stacked DomainSample of w's stencil, row)
         self._samples = {}
         self._gammas = {}
 
-    def _memoise(self, keys, hits) -> None:
-        """Memoise the converged rows of a Newton run as the rows of one stacked DomainSample."""
-        done = [(key, hit) for key, hit in zip(keys, hits) if not isinstance(hit, Exception)]
-        if not done:
-            return
-        rows = [hit for _, hit in done]
-        value = np.array([_at(jet.value, row) for _, jet, row in rows])
-        f1 = np.array([_at(jet.derivs[0], row) for _, jet, row in rows])
-        tau = np.array([_at(jet.derivs[1], row) for _, jet, row in rows])
-        # a gathered view of Newton's jets, not an evaluation: built through type()
-        stacked = type(self._seed_jet)(2, value, (f1, tau), {})
-        sample = domain_sample(self.ast, to_complex(np.array([w for w, _, _ in rows])), jet=stacked)
-        for p, (key, _) in enumerate(done):
-            self._points[key] = (sample, p)
-
     def points(self, W) -> None:
-        """Newton-invert, all at once, every chart point (row of W) not yet memoised.
-
-        Each row converges exactly as it would alone.  A row that fails is
-        not memoised, so :meth:`point` raises its error when it is asked for.
-        """
-        todo = {}
-        for w in W:
-            key = w.tobytes()
-            if key not in self._points:
-                todo.setdefault(key, w)
-        if todo:
-            self._memoise(todo, _newton(self.ast, list(todo.values()), self._seed_w, self._seed_jet))
+        """Newton-invert the chart points W as one stencil; a failed row is not memoised, so :meth:`point` raises it."""
+        invert_stencils([(self, W)])
 
     def point(self, w) -> tuple:
         """The stacked DomainSample that holds chart point w, and w's row in it.
@@ -540,9 +590,7 @@ class FlatChart:
         key = w.tobytes()
         hit = self._points.get(key)
         if hit is None:
-            hits = _newton(self.ast, [w], self._seed_w, self._seed_jet)
-            _inverted(hits[0])
-            self._memoise([key], hits)
+            _inverted(invert_stencils([(self, [w])])[0])
             hit = self._points[key]
         return hit
 
@@ -585,13 +633,15 @@ class FlatChart:
         return self._field("sigma_flat", w)
 
     def level_tangent_flat(self, w, Y0) -> np.ndarray:
-        """Level-set projection of the constant vector Y0, in flat components."""
-        s = self.sample(w)
-        denom = float(s.dk @ s.xi)
+        """Level-set projection of the constant vector Y0, in flat components, from w's rows of dk, xi and flat_jac."""
+        sample, p = self.point(w)
+        sample.admit(p)
+        dk, xi = sample.dk[p], sample.xi[p]
+        denom = float(dk @ xi)
         if abs(denom) < 1e-10:
             raise DegenerateMetric("dk(xi) = 2k vanished during tangent extension")
-        Yl = Y0 - (float(s.dk @ Y0) / denom) * s.xi
-        return s.flat_jac @ Yl
+        Yl = Y0 - (float(dk @ Y0) / denom) * xi
+        return sample.flat_jac[p] @ Yl
 
     @staticmethod
     def dir_points(w, direction, step) -> list:
@@ -637,7 +687,7 @@ class FlatChart:
         gamma = self._gammas.get(key)
         if gamma is None:
             self.points(self.christoffel_points(w))
-            dg = chart_matrix_derivative(self.g_flat, w, _chart_step(w, GAMMA_STEP))
+            dg = chart_matrix_derivative((self, "g_flat"), w, _chart_step(w, GAMMA_STEP))
             g_inv = np.linalg.inv(self.g_flat(w))
             # bracket[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
             bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
@@ -783,14 +833,14 @@ def dnabla_J_residual(chart: FlatChart) -> float:
     """Residual of d^nabla J = 0, via the flat-chart parametrization of J."""
     w0 = chart.base.flat
     chart.points(chart.axis_points(w0))
-    return antisymmetrized_chart_derivative(chart.J_flat, w0, _chart_step(w0, CHART_STEP))
+    return antisymmetrized_chart_derivative((chart, "J_flat"), w0, _chart_step(w0, CHART_STEP))
 
 
 def omega_parallel_residual(chart: FlatChart) -> float:
     """Max chart derivative of the pushforward of omega (should vanish)."""
     w0 = chart.base.flat
     chart.points(chart.axis_points(w0))
-    return float(np.max(np.abs(chart_matrix_derivative(chart.omega_flat, w0, _chart_step(w0, CHART_STEP)))))
+    return float(np.max(np.abs(chart_matrix_derivative((chart, "omega_flat"), w0, _chart_step(w0, CHART_STEP)))))
 
 
 def d_eta_residual(chart: FlatChart) -> float:
@@ -802,6 +852,6 @@ def d_eta_residual(chart: FlatChart) -> float:
     """
     s0 = chart.base
     chart.points(chart.axis_points(s0.flat))
-    D = chart_matrix_derivative(chart.eta_flat, s0.flat, _chart_step(s0.flat, CHART_STEP))  # D[a, b] = d_a eta_b
+    D = chart_matrix_derivative((chart, "eta_flat"), s0.flat, _chart_step(s0.flat, CHART_STEP))  # D[a, b] = d_a eta_b
     d_eta = D - D.T
     return float(np.max(np.abs(d_eta - 2.0 * s0.flat_form(s0.omega))))

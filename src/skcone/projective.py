@@ -36,10 +36,17 @@ def horizontal_project(dom: DomainSample, X) -> np.ndarray:
     return X - c.real * xi - c.imag * (dom.J @ xi)
 
 
-def _gbar(dom: DomainSample, X, Y) -> float:
+def _gbar(dom: DomainSample, X, Y, hx: complex, hy: complex) -> float:
+    """gbar(X, Y), with hx = h(X, xi) and hy = h(Y, xi) computed by the caller once per vector."""
     two_k = 2.0 * dom.k
-    mixed = dom.h_form(X, dom.xi) * np.conj(dom.h_form(Y, dom.xi))
+    mixed = hx * np.conj(hy)
     return dom.g_form(X, Y) / two_k - float(np.real(mixed)) / two_k**2
+
+
+def _gbar_of(dom: DomainSample, X) -> float:
+    """gbar(X, X), with h(X, xi) computed once."""
+    hx = dom.h_form(X, dom.xi)
+    return _gbar(dom, X, X, hx, hx)
 
 
 def projective_metric(ast: PrepotentialAst, u, X) -> float:
@@ -49,11 +56,7 @@ def projective_metric(ast: PrepotentialAst, u, X) -> float:
 
 def projective_metric_values(dom: DomainSample, vectors) -> list:
     """gbar(X, X) for each X in ``vectors``, all from the one sample ``dom``."""
-    out = []
-    for X in vectors:
-        X = np.asarray(X, dtype=float)
-        out.append(_gbar(dom, X, X))
-    return out
+    return [_gbar_of(dom, np.asarray(X, dtype=float)) for X in vectors]
 
 
 def submersion_residual(dom: DomainSample, X) -> float:
@@ -69,19 +72,19 @@ def submersion_residual(dom: DomainSample, X) -> float:
     if abs(dom.h_form(dom.xi, X)) > 1e-6 * scale:
         raise ValueError("X is not horizontal: h(xi, X) != 0")
     kappa = 1.0 if dom.k > 0 else -1.0
-    return abs(_gbar(dom, X, X) - kappa * dom.g_form(X, X))
+    return abs(_gbar_of(dom, X) - kappa * dom.g_form(X, X))
 
 
 def pkm_vertical_residual(dom: DomainSample) -> float:
     """gbar must annihilate the vertical plane span(xi, J xi) at the sample ``dom``."""
     xi = dom.xi
-    return max_or_nan(abs(_gbar(dom, xi, xi)), abs(_gbar(dom, dom.J @ xi, dom.J @ xi)))
+    return max_or_nan(abs(_gbar_of(dom, xi)), abs(_gbar_of(dom, dom.J @ xi)))
 
 
 def pkm_pullback_residual(dom: DomainSample, X) -> float:
     """|g_u(u,u) * gbar(X_h) - g(X_h, X_h)| on the horizontal part of TS, at the sample ``dom`` of u."""
     Xh = horizontal_project(dom, X)
-    return abs(2.0 * dom.k * _gbar(dom, Xh, Xh) - dom.g_form(Xh, Xh))
+    return abs(2.0 * dom.k * _gbar_of(dom, Xh) - dom.g_form(Xh, Xh))
 
 
 def pkm_scale_residual(ast: PrepotentialAst, dom: DomainSample, X, lam: complex) -> float:
@@ -106,7 +109,8 @@ def horizontal_gram_determinant(dom: DomainSample, frame) -> float:
     q, r = np.linalg.qr(projected.T)
     keep = np.abs(np.diag(r)) > 1e-8
     basis = q.T[keep]
-    gram = np.array([[_gbar(dom, a, b) for b in basis] for a in basis])
+    h_xi = [dom.h_form(a, dom.xi) for a in basis]
+    gram = np.array([[_gbar(dom, a, b, ha, hb) for b, hb in zip(basis, h_xi)] for a, ha in zip(basis, h_xi)])
     return abs(float(np.linalg.det(gram)))
 
 

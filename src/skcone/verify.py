@@ -185,6 +185,7 @@ class _Context:
         self._spheres: dict = {}
         self._sphere_domains: dict = {}
         self._sasaki: dict = {}
+        self._pairs: dict = {}    # idx -> {(count, salt): tangent pairs}
         self._charts: dict = {}
         self._lemma1: dict = {}
         self._hessians: dict = {}
@@ -232,12 +233,13 @@ class _Context:
         return self._sphere_domains[idx]
 
     def tangent_pairs(self, idx: int, count: int, salt: int = 101):
-        sphere = self.sphere(idx)
-        rng = self.rng(salt, idx)
-        return [
-            (cone_mod.random_tangent(sphere, rng), cone_mod.random_tangent(sphere, rng))
-            for _ in range(count)
-        ]
+        """The ``count`` seeded tangent pairs at sample idx's sphere point for ``salt``, drawn once per sample."""
+        drawn = self._pairs.setdefault(idx, {})
+        if (count, salt) not in drawn:
+            sphere, rng = self.sphere(idx), self.rng(salt, idx)
+            drawn[count, salt] = [(cone_mod.random_tangent(sphere, rng), cone_mod.random_tangent(sphere, rng))
+                                  for _ in range(count)]
+        return drawn[count, salt]
 
     def sasaki(self, idx: int):
         if idx not in self._sasaki:
@@ -245,7 +247,7 @@ class _Context:
         return self._sasaki[idx]
 
     def hand_over(self, idx: int, stencils) -> None:
-        """Newton-invert the chart points that ``stencils`` give at sample idx, one stack per chart.
+        """Newton-invert the chart points that ``stencils`` give at sample idx, as one stack across its charts.
 
         A stencil is a function (ctx, idx) -> (chart, points); one that
         several checks share is asked once.  A hand-over never raises: a
@@ -253,18 +255,16 @@ class _Context:
         not memoised, so the check that needs it inverts it again and raises
         the error it raises alone.
         """
-        stacks = {}
+        formed = []
         for stencil in dict.fromkeys(stencils):
             try:
-                chart, points = stencil(self, idx)
+                formed.append(stencil(self, idx))
             except _CHECK_ERRORS:
                 continue
-            stacks.setdefault(chart, []).extend(points)
-        for chart, points in stacks.items():
-            chart.points(points)
+        geo.invert_stencils(formed)
 
     def release(self, idx: int) -> None:
-        """Drop sample idx's sphere (with its charts), Sasaki residuals, chart and Lemma 1 residuals.
+        """Drop sample idx's sphere (with its charts), tangent pairs, Sasaki residuals, chart and Lemma 1 residuals.
 
         The flat Hessians stay, for ``eq.ma.spread``, and so does the
         sphere's DomainSample at u, for ``sec5.remark2.sigma_xq``.
@@ -272,7 +272,7 @@ class _Context:
         sphere = self._spheres.pop(idx, None)
         if sphere is not None:
             self._sphere_domains[idx] = sphere.domain
-        for memo in (self._sasaki, self._charts, self._lemma1):
+        for memo in (self._pairs, self._sasaki, self._charts, self._lemma1):
             memo.pop(idx, None)
 
     def is_fs(self) -> bool:
@@ -501,9 +501,15 @@ def _st_mean_curvature(ctx, idx):
     return sp.chart, [w for T in sp.frame for w in cone_mod.direction_points(sp, T)]
 
 
-def _st_sasaki(ctx, idx):
-    sp = ctx.sphere(idx)
-    return sp.chart, cone_mod.sasaki_points(sp, ctx.tangent_pairs(idx, 2))
+def _st_sasaki(points):
+    """The stencil at u of ``points`` (:func:`cone.sasaki_gamma_points` or ``sasaki_direction_points``)."""
+    def stencil(ctx, idx):
+        sp = ctx.sphere(idx)
+        return sp.chart, points(sp, ctx.tangent_pairs(idx, 2))
+    return stencil
+
+
+_SASAKI_STENCILS = (_st_sasaki(cone_mod.sasaki_gamma_points), _st_sasaki(cone_mod.sasaki_direction_points))
 
 
 _SEC5_CASES = {
@@ -605,13 +611,13 @@ _REGISTRY = {
                                               stencils=(_st_mean_curvature,)),
     "thm.affinesphere.volume": _Check("sphere", 1e-5, _chk_volume, _if_spheres),
     "sasaki.killing": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres,
-                             stencils=(_st_sasaki,)),
+                             stencils=_SASAKI_STENCILS),
     "sasaki.structure": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres,
-                               stencils=(_st_sasaki,)),
+                               stencils=_SASAKI_STENCILS),
     "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres,
-                                     stencils=(_st_sasaki,)),
+                                     stencils=_SASAKI_STENCILS),
     "sasaki.contact": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres,
-                             stencils=(_st_sasaki,)),
+                             stencils=_SASAKI_STENCILS),
     "remark2.hamiltonian": _Check("sphere", 1e-5, _chk_hamiltonian, _if_spheres),
     "eq.wpr.radial": _Check("sphere", 1e-6, _chk_warped_radial, _if_spheres,
                             stencils=(_st_directions(_RADIAL_PAIRS), _st_scaled(_RADIAL_PAIRS))),
@@ -693,8 +699,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     The per-sample checks run sample by sample: the chart points their
     stencils differentiate across are handed over first, as one Newton
-    stack per chart, and a sample's spheres and charts are dropped once its
-    checks are done.  The aggregate and global checks run after.
+    stack across the sample's charts, and a sample's spheres and charts are
+    dropped once its checks are done.  The aggregate and global checks run after.
     """
     ctx = _Context(config)
     selected = CHECK_IDS if config.checks is None else config.checks

@@ -12,6 +12,7 @@ regress.
 
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -330,3 +331,156 @@ def test_a_singular_flat_jacobian_past_the_gate_is_rejected_alone(stu):
         assert eta[p].tobytes() == np.linalg.solve(alone.flat_jac.T, alone.eta()).tobytes()
     with pytest.raises(np.linalg.LinAlgError):
         stack.row(2)
+
+
+# ---------------------------------------------------------------------------
+# One stack across charts, one view per stencil
+# ---------------------------------------------------------------------------
+
+
+FAILING = (SINGULAR_TARGET, np.full(8, 1e7), np.array([0.0, 0, 0, 0, 1e3, 0, 0, 0]))
+FAILING_KINDS = (NoConvergence, NoConvergence, DegenerateMetric)   # from STU_BASE: denominator, no convergence, Jacobian
+
+
+def _chart_stencils(charts):
+    """Per chart: good points near its seed, the seed itself, and (first chart only) the three failing targets."""
+    return [(chart, [*_stencil(chart.base.flat, 5, 70 + c, 1e-3), chart.base.flat, *(FAILING if c == 0 else ())])
+            for c, chart in enumerate(charts)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_stack_across_charts_equals_the_per_chart_stacks(stu, count, monkeypatch):
+    seeds = [STU_BASE, *stu_points(2, seed=53)][:count]
+    calls = []
+    real = geo._newton
+
+    def newton(ast, targets, *args, **kwargs):
+        calls.append(len(targets))
+        return real(ast, targets, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "_newton", newton)
+    merged, alone = ([geo.FlatChart(stu, z) for z in seeds] for _ in range(2))
+    hits = geo.invert_stencils(_chart_stencils(merged))
+    assert calls == [sum(len(W) for _, W in _chart_stencils(merged))] and len(hits) == calls[0]
+    assert sum(isinstance(hit, Exception) for hit in hits) == len(FAILING)
+    for chart, W in _chart_stencils(alone):
+        chart.points(W)
+    for m, a, (_, W) in zip(merged, alone, _chart_stencils(merged)):
+        assert m._points.keys() == a._points.keys() == {w.tobytes() for w in W} - {t.tobytes() for t in FAILING}
+        for key in a._points:
+            assert _entry_bytes(*m._points[key]) == _entry_bytes(*a._points[key])
+    views = {id(view) for chart in merged for view, _ in chart._points.values()}
+    assert len(views) == count
+    for target, kind in zip(FAILING, FAILING_KINDS):
+        with pytest.raises(kind) as one_row:
+            geo.invert_flat_coords(stu, target, seeds[0])
+        for chart in (merged[0], alone[0]):
+            with pytest.raises(kind) as charted:
+                chart.point(target)
+            assert str(charted.value) == str(one_row.value)
+
+
+def test_row_norms_are_the_per_row_dot_bit_for_bit():
+    gen = np.random.default_rng(17)
+    for n in (2, 4, 6, 8, 9, 16, 24):
+        for scale in (1e-14, 1e-3, 1.0, 1e7):
+            R = scale * gen.standard_normal((64, n))
+            strided = np.imag(R + 1j * R[::-1])   # a view with a stride of two floats, like Im tau
+            for rows in (R, strided):
+                assert [float(x) for x in geo._row_norms(rows)] == [math.sqrt(r.dot(r)) for r in rows]
+
+
+def test_chart_steps_take_numpys_norm_bit_for_bit():
+    gen = np.random.default_rng(19)
+    for n in (4, 6, 8, 16):
+        for scale in (1e-9, 1.0, 1e6):
+            v = scale * gen.standard_normal(n)
+            for vec in (v, np.concatenate([v, v])[::2]):
+                assert geo._norm(vec) == float(np.linalg.norm(vec))
+                assert geo._chart_step(vec, geo.CHART_STEP) == geo.CHART_STEP * (1.0 + float(np.linalg.norm(vec)))
+                norm, h, dw = geo._direction_stencil(vec, vec, geo.FIELD_STEP)
+                ref = float(np.linalg.norm(vec))
+                assert norm == ref and h == geo.FIELD_STEP * (1.0 + ref) and dw.tobytes() == (h * (vec / ref)).tobytes()
+
+
+def test_a_view_has_the_stack_rows_in_every_field(stu):
+    Z = np.array(stu_points(6, seed=59))
+    jet = expr.eval_jet(stu, Z, 2)
+    f1 = jet.deriv(1).copy()
+    f1[4] = 0.0   # k = 0: rejected by the gate
+    stack = geo.domain_sample(stu, Z, jet=type(jet)(2, jet.value, (f1, jet.deriv(2)), {}))
+    rows = np.array([5, 1, 4, 2])
+    view = stack.take(rows)
+    assert list(view.rejected) == [2]
+    for name in STORED + DERIVED + CHART_FIELDS:
+        if name != "J":
+            for j, p in enumerate(rows):
+                assert np.asarray(getattr(view, name)[j]).tobytes() == np.asarray(getattr(stack, name)[p]).tobytes(), name
+    assert view.eta()[[0, 1, 3]].tobytes() == stack.eta()[[5, 1, 2]].tobytes()
+    for j, p in enumerate(rows):
+        if p == 4:
+            with pytest.raises(InadmissiblePoint) as err:
+                view.admit(j)
+            assert err.value is stack.rejected[4]
+        else:
+            _assert_samples_equal(view.row(j), stack.row(p))
+
+
+@pytest.mark.parametrize("unmemoised, rejected", [
+    ((8,), (1,)),        # a0- fails Newton before a1+ is read
+    ((), (1, 8)),        # a0- is rejected before a1+ is read
+    ((9,), (2,)),        # a1- fails Newton before a2+ is read
+    ((), (15,)),         # only a7- fails
+])
+def test_a_batched_axis_read_raises_the_per_point_reads_first_error(stu, monkeypatch, unmemoised, rejected):
+    """Rows are indexed as the axis stencil orders them: a+ for every a, then a- for every a."""
+    chart = geo.FlatChart(stu, stu_points(1, seed=61)[0])
+    w0 = chart.base.flat
+    h = geo._chart_step(w0, geo.CHART_STEP)
+    W = geo._axis_stencil(w0, h)
+    chart.points(W)
+    poisoned = {W[i].tobytes() for i in unmemoised}
+    for key in poisoned:
+        del chart._points[key]
+    real = geo._newton
+
+    def newton(ast, targets, *args, **kwargs):
+        return [NoConvergence(f"injected at {t.tobytes().hex()[:8]}") if t.tobytes() in poisoned else hit
+                for t, hit in zip(targets, real(ast, targets, *args, **kwargs))]
+
+    monkeypatch.setattr(geo, "_newton", newton)
+    for i in rejected:
+        view, p = chart._points[W[i].tobytes()]
+        view.rejected[p] = InadmissiblePoint(f"injected at row {i}")
+    for name in ("J_flat", "omega_flat", "eta_flat", "g_flat"):
+        with pytest.raises((NoConvergence, InadmissiblePoint)) as per_point:
+            geo.chart_matrix_derivative(getattr(chart, name), w0, h)
+        with pytest.raises((NoConvergence, InadmissiblePoint)) as batched:
+            geo.chart_matrix_derivative((chart, name), w0, h)
+        assert type(batched.value) is type(per_point.value) and str(batched.value) == str(per_point.value)
+
+
+def test_a_batched_axis_read_equals_the_per_point_read(stu):
+    chart = geo.FlatChart(stu, stu_points(1, seed=67)[0])
+    w0 = chart.base.flat
+    for step in (geo._chart_step(w0, geo.CHART_STEP), geo._chart_step(w0, geo.GAMMA_STEP)):
+        chart.points(geo._axis_stencil(w0, step))
+        for name in ("J_flat", "omega_flat", "eta_flat", "g_flat", "xi_flat", "sigma_flat"):
+            batched = geo.chart_matrix_derivative((chart, name), w0, step)
+            assert batched.tobytes() == geo.chart_matrix_derivative(getattr(chart, name), w0, step).tobytes()
+
+
+def test_a_level_tangent_reads_its_rows_and_raises_a_rejected_rows_error(stu):
+    chart = geo.FlatChart(stu, stu_points(1, seed=71)[0])
+    W = _stencil(chart.base.flat, 3, 73, 1e-3)
+    chart.points(W)
+    Y = np.linspace(-1.0, 1.0, 8)
+    for w in W[:2]:
+        s = chart.sample(w)
+        Yl = Y - (float(s.dk @ Y) / float(s.dk @ s.xi)) * s.xi
+        assert chart.level_tangent_flat(w, Y).tobytes() == (s.flat_jac @ Yl).tobytes()
+    view, p = chart.point(W[2])
+    view.rejected[p] = InadmissiblePoint("injected")
+    for read in (chart.sample, lambda w: chart.level_tangent_flat(w, Y)):
+        with pytest.raises(InadmissiblePoint, match="injected"):
+            read(W[2])

@@ -69,11 +69,12 @@ def _pairs(sphere, count=2, seed=31):
 
 
 def _unbatched(monkeypatch, sphere):
-    """Make FlatChart.points a no-op, and return the sphere sample with a new chart at u.
+    """Make FlatChart.points and cone's invert_stencils no-ops, and return the sphere sample with a new chart at u.
 
     Every chart point of the new chart is then inverted alone, on first use.
     """
     monkeypatch.setattr(geo.FlatChart, "points", lambda chart, W: None)
+    monkeypatch.setattr(cone, "invert_stencils", lambda stencils: [])
     return dataclasses.replace(sphere, chart=geo.FlatChart(sphere.chart.ast, sphere.u))
 
 

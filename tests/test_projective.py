@@ -132,6 +132,37 @@ def test_horizontal_gram_nondegenerate(stu):
     assert det > 1e-8
 
 
+@pytest.mark.parametrize("base", [STU_BASE, STU_BASE_NEG])
+def test_gbar_pairs_each_vector_with_xi_once(stu, base, monkeypatch):
+    """h(X, xi) once per vector, and the values of the per-pair formula bit for bit."""
+    sp = cone.project_to_sphere(stu, base + 0.03)
+    dom = geo.domain_sample(stu, sp.u)
+    xi, two_k = dom.xi, 2.0 * dom.k
+
+    def gbar(X, Y):
+        mixed = dom.h_form(X, xi) * np.conj(dom.h_form(Y, xi))
+        return dom.g_form(X, Y) / two_k - float(np.real(mixed)) / two_k**2
+
+    projected = np.array([proj.horizontal_project(dom, T) for T in sp.frame])
+    q, r = np.linalg.qr(projected.T)
+    basis = q.T[np.abs(np.diag(r)) > 1e-8]
+    ref_det = abs(float(np.linalg.det(np.array([[gbar(a, b) for b in basis] for a in basis]))))
+    ref_values = [gbar(X, X) for X in sp.frame]
+    calls = []
+    real = geo.DomainSample.h_form
+
+    def counting(self, X, Y):
+        calls.append(None)
+        return real(self, X, Y)
+
+    monkeypatch.setattr(geo.DomainSample, "h_form", counting)
+    assert proj.horizontal_gram_determinant(dom, sp.frame) == ref_det
+    assert len(calls) == 2 * len(sp.frame) + len(basis)   # two per projection, one per basis vector
+    calls.clear()
+    assert proj.projective_metric_values(dom, sp.frame) == ref_values
+    assert len(calls) == len(sp.frame)
+
+
 # ---------------------------------------------------------------------------
 # Fubini-Study comparison
 # ---------------------------------------------------------------------------

@@ -361,12 +361,13 @@ def stu_run():
     sampling, ``fresh``: the points of the domain_sample calls that evaluate
     a jet of their own, and ``points``: every sample point z and sphere point u;
     ``calls``, ``ok`` and ``built``: the domain_sample calls, those that
-    returned, and the DomainSample objects built.
+    returned, and the DomainSample objects built; ``rngs``: the (salt, idx)
+    of every seeded per-sample generator.
     """
-    run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[], calls=0, ok=0, built=0)
+    run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[], calls=0, ok=0, built=0, rngs=[])
     charts = weakref.WeakSet()
     sampled = []
-    real_init, real_release = geo.FlatChart.__init__, verify._Context.release
+    real_init, real_release, real_rng = geo.FlatChart.__init__, verify._Context.release, verify._Context.rng
     real_newton, real_sample, real_domain = geo._newton, geo.domain_sample, geo.DomainSample
     real_points, real_project = verify.sample_points, cone.project_to_sphere
 
@@ -378,6 +379,10 @@ def stu_run():
     def release(ctx, idx):
         real_release(ctx, idx)
         run.alive.append(len(charts))
+
+    def rng(ctx, salt, idx=0):
+        run.rngs.append((salt, idx))
+        return real_rng(ctx, salt, idx)
 
     def newton(ast, targets, *args, **kwargs):
         run.rows.append(len(targets))
@@ -409,6 +414,7 @@ def stu_run():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo.FlatChart, "__init__", init)
         mp.setattr(verify._Context, "release", release)
+        mp.setattr(verify._Context, "rng", rng)
         mp.setattr(geo, "_newton", newton)
         for module in (geo, cone, verify.proj):
             mp.setattr(module, "domain_sample", sample)
@@ -438,14 +444,36 @@ def test_a_chart_sharing_check_alone_equals_its_rows_in_the_suite(stu_run, cid):
 
 
 # ---------------------------------------------------------------------------
-# one DomainSample per seed point, one Newton stack per chart and stage
+# one DomainSample per seed point, one Newton stack per sample and stage
 # ---------------------------------------------------------------------------
 
 
-def test_a_suite_makes_at_most_four_newton_stacks_per_sample(stu_run):
+def test_a_suite_makes_at_most_two_newton_stacks_per_sample(stu_run):
     assert stu_run.report.all_pass
-    # per sample: the chart at z, the chart at u in two stages, the chart at r*u
-    assert len(stu_run.rows) <= 4 * STU_CONFIG.sample_count
+    # per sample: the hand-over across the charts at z, u and r*u, and the second Sasaki stage at u
+    assert len(stu_run.rows) <= 2 * STU_CONFIG.sample_count
+
+
+def test_a_suite_draws_each_tangent_pair_set_once_per_sample(stu_run):
+    assert stu_run.rngs and len(set(stu_run.rngs)) == len(stu_run.rngs)
+
+
+def test_hessian_stencil_rows_derive_nothing_beyond_k():
+    """The FD-Hessian oracle reads k alone: its stencil's view of the hand-over derives no field."""
+    ctx = verify._Context(dataclasses.replace(STU_CONFIG, sample_count=1))
+    due = [check for check in verify._REGISTRY.values() if check.kind in ("domain", "sphere")]
+    ctx.hand_over(0, [stencil for check in due for stencil in check.stencils])
+    for check in due:
+        check.runner(ctx, 0, ctx.samples[0])
+    chart = ctx.chart(0)
+    views = {id(chart.point(w)[0]): chart.point(w)[0] for w in chart.hessian_points(chart.base.flat)}
+    (view,) = views.values()
+    assert len(view.z) == 129
+    derived = {"xi", "h", "g", "omega", "dk", "flat", "flat_jac", "flat_jac_inv",
+               "g_flat", "omega_flat", "J_flat", "eta_flat", "xi_flat", "sigma_flat"}
+    assert not derived & set(vars(view))
+    axis_view = chart.point(chart.axis_points(chart.base.flat)[0])[0]
+    assert {"flat_jac_inv", "J_flat", "omega_flat", "eta_flat"} <= set(vars(axis_view))
 
 
 def test_no_newton_stack_has_two_rows(stu_run):
