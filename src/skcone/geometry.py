@@ -80,8 +80,11 @@ def canonical_symplectic(m: int) -> np.ndarray:
 
 
 def _row_norms(R) -> np.ndarray:
-    """Each row's norm as ``math.sqrt(r.dot(r))`` gives it, bit for bit; an axis sum or einsum adds in another order."""
-    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+    """Each row's norm bit for bit as ``np.linalg.norm(r)``: sqrt(re.re + im.im) on strided views, not an axis sum."""
+    sq = (R.real[:, None, :] @ R.real[:, :, None])[:, 0, 0]
+    if R.dtype.kind == "c":
+        sq = sq + (R.imag[:, None, :] @ R.imag[:, :, None])[:, 0, 0]
+    return np.sqrt(sq)
 
 
 def _mv(A, x) -> np.ndarray:

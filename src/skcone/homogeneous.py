@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import PrepotentialAst, eval_jet
-from .geometry import kahler_potential
+from .geometry import _mv, _row_norms, kahler_potential
 
 TRIPLES = tuple(itertools.combinations(range(6), 3))  # index order of 3-forms
 
@@ -44,14 +44,14 @@ def _index_table(entries) -> tuple:
     return slots, _read_only(np.array(comp)), _read_only(np.array(sign))
 
 
-def _scatter(table, components) -> np.ndarray:
-    """The 6 x 6 x 6 array holding sign * components[component] at each slot."""
+def _scatter(table, components, shape=(6, 6, 6)) -> np.ndarray:
+    """The (..., *shape) arrays holding sign * components[..., component] at each slot."""
     components = np.asarray(components)
-    if components.shape != (20,):
+    if components.shape[-1:] != (20,):
         raise ValueError(f"expected 20 components, got shape {components.shape}")
     slots, comp, sign = table
-    out = np.zeros((6, 6, 6), dtype=components.dtype)
-    out[slots] = components[comp] * sign
+    out = np.zeros(components.shape[:-1] + shape, dtype=components.dtype)
+    out[(..., *slots)] = components.take(comp, axis=-1) * sign
     return out
 
 
@@ -79,9 +79,11 @@ def _star_table() -> tuple:
     return _index_table(entries)
 
 
-def _star(alpha20) -> np.ndarray:
-    """S[m, (p, q)] = (1/6) sum_{jkl} eps_{mjklpq} alpha_{jkl}, a 6 x 36 matrix."""
-    return _scatter(_star_table(), alpha20).reshape(6, 36)
+@functools.cache
+def _e6_table() -> tuple:
+    """One table into (2, 6, 36): S[m, (p, q)] = (1/6) sum_{jkl} eps_{mjklpq} alpha_{jkl}, then alpha[i, (p, q)]."""
+    return _index_table(((k, a, 6 * b + c), col, sign) for k, table in enumerate((_star_table(), _form3_table()))
+                        for (a, b, c), col, sign in zip(zip(*table[0]), *table[1:]))
 
 
 def form3_to_array(components) -> np.ndarray:
@@ -90,7 +92,8 @@ def form3_to_array(components) -> np.ndarray:
 
 
 def array_to_form3(full) -> np.ndarray:
-    return np.array([full[t] for t in TRIPLES])
+    """The 20 lexicographic components of each full 3-form array of a stack (..., 6, 6, 6)."""
+    return np.asarray(full)[(..., *zip(*TRIPLES))]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ class QuarticCase:
 @dataclass(frozen=True)
 class RepElement:
     tag: str
-    data: object  # matrix, or (R, L) pair for case BD
+    data: object  # matrix, or (R, L) pair for case BD; a stack of them along a leading axis
 
 
 def case_a(n: int, signature=None) -> QuarticCase:
@@ -158,15 +161,17 @@ def case_g() -> QuarticCase:
 
 
 def e6_operator(alpha) -> np.ndarray:
-    """Matrix of v -> alpha ^ (iota_v alpha) under the fixed volume element."""
+    """Matrix of v -> alpha ^ (iota_v alpha) under the fixed volume element, per form of a stack."""
     alpha = np.asarray(alpha, dtype=complex)
     # A[m, i] = (1/12) alpha_{jkl} alpha_{ipq} eps_{mjklpq} = (1/2) S[m, pq] alpha_{ipq}
-    return _star(alpha) @ form3_to_array(alpha).reshape(6, 36).T / 2.0
+    both = _scatter(_e6_table(), alpha, (2, 6, 36))
+    return both[..., 0, :, :] @ both[..., 1, :, :].swapaxes(-1, -2) / 2.0
 
 
 def _wedge_omega_map() -> np.ndarray:
     """6 x 20 matrix of beta -> omega ^ beta in the iota-volume identification."""
-    return np.stack([_star(beta) @ _omega6().ravel() for beta in np.eye(20)], axis=1) / 2.0
+    stars = _scatter(_e6_table(), np.eye(20), (2, 6, 36))[:, 0]
+    return np.stack([star @ _omega6().ravel() for star in stars], axis=1) / 2.0
 
 
 @functools.cache
@@ -177,22 +182,48 @@ def _wedge_data():
 
 
 def f_case_project(beta) -> np.ndarray:
-    """Euclidean-orthogonal projection onto ker(omega ^ .), dimension 14."""
+    """Euclidean-orthogonal projection onto ker(omega ^ .), dimension 14, of a form or each of a stack."""
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (20,):
+    if beta.shape[-1:] != (20,) or beta.ndim > 2:
         raise ValueError("case F expects 20 real 3-form components")
     _, proj = _wedge_data()
-    return proj @ beta
+    return _mv(proj, beta)
 
 
-def f_kernel_residual(beta) -> float:
+def f_kernel_residual(beta):
+    """|omega ^ beta| / (1 + |beta|), of a form or each row of a stack."""
     L, _ = _wedge_data()
-    beta = np.asarray(beta, dtype=float)
-    return float(np.linalg.norm(L @ beta)) / (1.0 + float(np.linalg.norm(beta)))
+    B = np.asarray(beta, dtype=float)
+    res = _row_norms(_mv(L, B.reshape(-1, 20))) / (1.0 + _row_norms(B.reshape(-1, 20)))
+    return float(res[0]) if B.ndim == 1 else res
 
 
-def _hessian_discriminant(coeffs) -> float:
-    a, b, c, d = (float(x) for x in coeffs)
+def _norms(stack) -> np.ndarray:
+    """The norm of each array of a stack, with ``np.linalg.norm``'s arithmetic."""
+    return _row_norms(stack.reshape(len(stack), -1))
+
+
+def _stack(case: QuarticCase, v) -> tuple:
+    """(V, single): v as a stack of module vectors along a leading axis, and whether v was one vector."""
+    d = case.n + 1
+    dtype, shape, error = {
+        "A": (complex, (d,), "a complex vector of length {d}"),
+        "BD": (float, (d, 2), "a real {d} x 2 matrix"),
+        "E6": (complex, (20,), "20 complex 3-form components"),
+        "F": (float, (20,), "20 real 3-form components"),
+        "G": (float, (4,), "4 cubic coefficients (a, b, c, d)"),
+    }.get(case.tag, (None, None, None))
+    if dtype is None:
+        raise ValueError(f"unknown case tag {case.tag!r}")
+    V = np.asarray(v, dtype=dtype)
+    single = V.ndim == len(shape)
+    if V.shape[not single:] != shape:
+        raise ValueError(f"case {case.tag} expects " + error.format(d=d))
+    return (V[None] if single else V), single
+
+
+def _hessian_discriminant(a, b, c, d) -> float:
+    """The discriminant of the Hessian of a x^3 + b x^2 y + c x y^2 + d y^3, in Python numbers."""
     A = 12.0 * a * c - 4.0 * b * b
     B = 36.0 * a * d - 4.0 * b * c
     C = 12.0 * b * d - 4.0 * c * c
@@ -200,39 +231,23 @@ def _hessian_discriminant(coeffs) -> float:
 
 
 def quartic_eval(case: QuarticCase, v):
-    """Evaluate the case's quartic invariant; scalar, degree-4 homogeneous."""
+    """Evaluate the case's quartic invariant, degree-4 homogeneous: a scalar, or an array for a stack of vectors."""
+    V, single = _stack(case, v)
     if case.tag == "A":
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (case.n + 1,):
-            raise ValueError(f"case A expects a complex vector of length {case.n + 1}")
-        gvv = 2.0 * float(np.real(np.conj(v) @ (case.structure["eta"] * v)))
-        return gvv * gvv
-    if case.tag == "BD":
-        A = np.asarray(v, dtype=float)
-        if A.shape != (case.n + 1, 2):
-            raise ValueError(f"case BD expects a real {case.n + 1} x 2 matrix")
+        gvv = 2.0 * (V.conj()[:, None, :] @ (case.structure["eta"] * V)[:, :, None])[:, 0, 0].real
+        q = gvv * gvv
+    elif case.tag == "BD":
         G, Om = case.structure["G"], case.structure["Omega"]
-        return float(np.linalg.det(A.T @ G @ A @ Om))
-    if case.tag == "E6":
-        alpha = np.asarray(v, dtype=complex)
-        if alpha.shape != (20,):
-            raise ValueError("case E6 expects 20 complex 3-form components")
-        op = e6_operator(alpha)
-        return complex(np.trace(op @ op))
-    if case.tag == "F":
-        beta = np.asarray(v, dtype=float)
-        if beta.shape != (20,):
-            raise ValueError("case F expects 20 real 3-form components")
-        if f_kernel_residual(beta) > 1e-10:
+        q = np.linalg.det(V.swapaxes(1, 2) @ G @ V @ Om)
+    elif case.tag == "G":
+        q = np.array([_hessian_discriminant(*row) for row in V.tolist()])
+    else:
+        if case.tag == "F" and any(r > 1e-10 for r in f_kernel_residual(V).tolist()):
             raise ValueError("case F input is not in ker(omega ^ .)")
-        op = e6_operator(beta.astype(complex))
-        return float(np.real(np.trace(op @ op)))
-    if case.tag == "G":
-        coeffs = np.asarray(v, dtype=float)
-        if coeffs.shape != (4,):
-            raise ValueError("case G expects 4 cubic coefficients (a, b, c, d)")
-        return _hessian_discriminant(coeffs)
-    raise ValueError(f"unknown case tag {case.tag!r}")
+        op = e6_operator(V)
+        q = (op @ op).trace(axis1=1, axis2=2)
+        q = q.real if case.tag == "F" else q
+    return q[0].item() if single else q
 
 
 # ---------------------------------------------------------------------------
@@ -240,128 +255,146 @@ def quartic_eval(case: QuarticCase, v):
 # ---------------------------------------------------------------------------
 
 
-def _unit(arr):
-    return arr / np.linalg.norm(arr.ravel())
+def _unit(stack):
+    return stack / _norms(stack).reshape((-1,) + (1,) * (stack.ndim - 1))
+
+
+def draw_vector(case: QuarticCase, rng):
+    """The rng draws of one random module vector, in random_vector's order and shapes; (re, im) for a complex module."""
+    shape = {"A": case.n + 1, "BD": (case.n + 1, 2), "E6": 20, "F": 20, "G": 4}.get(case.tag)
+    if shape is None:
+        raise ValueError(case.tag)
+    complex_module = case.tag in ("A", "E6")
+    return (rng.standard_normal(shape), rng.standard_normal(shape)) if complex_module else rng.standard_normal(shape)
+
+
+def vector_stack(case: QuarticCase, draws) -> np.ndarray:
+    """The stack of seeded module points made from a sequence of :func:`draw_vector` draws."""
+    V = np.array(draws)
+    V = V[:, 0] + 1j * V[:, 1] if case.tag in ("A", "E6") else V
+    return _unit(f_case_project(V) if case.tag == "F" else V)
 
 
 def random_vector(case: QuarticCase, rng) -> np.ndarray:
     """Seeded module point, normalized so finite differences stay conditioned."""
-    if case.tag == "A":
-        d = case.n + 1
-        return _unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return vector_stack(case, [draw_vector(case, rng)])[0]
+
+
+def draw_generator(case: QuarticCase, rng):
+    """The rng draws of one random generator, in random_generator's order and shapes; (re, im) for a complex module."""
     if case.tag == "BD":
-        return _unit(rng.standard_normal((case.n + 1, 2)))
-    if case.tag == "E6":
-        return _unit(rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    if case.tag == "F":
-        return _unit(f_case_project(rng.standard_normal(20)))
-    if case.tag == "G":
-        return _unit(rng.standard_normal(4))
-    raise ValueError(case.tag)
+        return rng.standard_normal((case.n + 1,) * 2), rng.standard_normal((2, 2))
+    d = {"A": case.n + 1, "E6": 6, "F": 6, "G": 2}.get(case.tag)
+    if d is None:
+        raise ValueError(case.tag)
+    shape, complex_module = (d, d), case.tag in ("A", "E6")
+    return (rng.standard_normal(shape), rng.standard_normal(shape)) if complex_module else rng.standard_normal(shape)
+
+
+def _traceless(M) -> np.ndarray:
+    """Each matrix of a stack minus (trace / size) times the identity."""
+    d = M.shape[-1]
+    return M - (np.trace(M, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+
+
+def generator_stack(case: QuarticCase, draws) -> RepElement:
+    """The stack of seeded unit generators made from a sequence of :func:`draw_generator` draws."""
+    if case.tag == "BD":
+        W, L = (np.array(part) for part in zip(*draws))
+        R = case.structure["G"] @ (W - np.swapaxes(W, 1, 2)) / 2.0
+        return RepElement("BD", (_unit(R), _unit(_traceless(L))))
+    M = np.array(draws)
+    M = M[:, 0] + 1j * M[:, 1] if case.tag in ("A", "E6") else M
+    if case.tag == "A":
+        eta = case.structure["eta"]
+        M = _traceless(0.5 * (M - (eta[:, None] * np.swapaxes(np.conj(M), 1, 2) * eta[None, :])))
+    elif case.tag == "F":
+        M = _omega6() @ ((M + np.swapaxes(M, 1, 2)) / 2.0)
+    else:
+        M = _traceless(M)
+    return RepElement(case.tag, _unit(M))
+
+
+def _pick(gen: RepElement, index) -> RepElement:
+    """gen with each of its matrices indexed: 0 takes a stack's first generator, None makes one a stack of one."""
+    data = tuple(np.asarray(x)[index] for x in gen.data) if gen.tag == "BD" else np.asarray(gen.data)[index]
+    return RepElement(gen.tag, data)
 
 
 def random_generator(case: QuarticCase, rng) -> RepElement:
-    if case.tag == "A":
-        d = case.n + 1
-        eta = case.structure["eta"]
-        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        X = 0.5 * (M - (eta[:, None] * M.conj().T * eta[None, :]))
-        X -= (np.trace(X) / d) * np.eye(d)
-        return RepElement("A", _unit(X))
-    if case.tag == "BD":
-        d = case.n + 1
-        G = case.structure["G"]
-        W = rng.standard_normal((d, d))
-        R = G @ (W - W.T) / 2.0
-        L = rng.standard_normal((2, 2))
-        L -= (np.trace(L) / 2.0) * np.eye(2)
-        return RepElement("BD", (_unit(R), _unit(L)))
-    if case.tag == "E6":
-        M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        M -= (np.trace(M) / 6.0) * np.eye(6)
-        return RepElement("E6", _unit(M))
-    if case.tag == "F":
-        S = rng.standard_normal((6, 6))
-        S = (S + S.T) / 2.0
-        return RepElement("F", _unit(_omega6() @ S))
-    if case.tag == "G":
-        L = rng.standard_normal((2, 2))
-        L -= (np.trace(L) / 2.0) * np.eye(2)
-        return RepElement("G", _unit(L))
-    raise ValueError(case.tag)
+    return _pick(generator_stack(case, [draw_generator(case, rng)]), 0)
 
 
-def membership_residual(case: QuarticCase, gen: RepElement) -> float:
-    """Distance of the generator from its Lie algebra (should be ~0)."""
+def _abs_traces(X) -> np.ndarray:
+    """|trace| of each matrix of a stack by the scalar abs; numpy's array abs of a complex can differ in the last bit."""
+    return np.array([abs(t) for t in np.trace(X, axis1=1, axis2=2).tolist()])
+
+
+def membership_residual(case: QuarticCase, gen: RepElement):
+    """Distance of the generator, or of each generator of a stack, from its Lie algebra (should be ~0)."""
+    single = np.ndim(gen.data[0] if gen.tag == "BD" else gen.data) == 2
+    X = (_pick(gen, None) if single else gen).data
     if case.tag == "A":
         eta = np.diag(case.structure["eta"])
-        X = gen.data
-        return float(np.linalg.norm(X.conj().T @ eta + eta @ X) + abs(np.trace(X)))
-    if case.tag == "BD":
-        R, L = gen.data
-        G = case.structure["G"]
-        return float(np.linalg.norm(R.T @ G + G @ R) + abs(np.trace(L)))
-    if case.tag == "E6":
-        return abs(np.trace(gen.data))
-    if case.tag == "F":
+        res = _norms(np.swapaxes(np.conj(X), 1, 2) @ eta + eta @ X) + _abs_traces(X)
+    elif case.tag == "BD":
+        (R, L), G = X, case.structure["G"]
+        res = _norms(np.swapaxes(R, 1, 2) @ G + G @ R) + _abs_traces(L)
+    elif case.tag == "F":
         Om = _omega6()
-        X = gen.data
-        return float(np.linalg.norm(X.T @ Om + Om @ X))
-    if case.tag == "G":
-        return abs(np.trace(gen.data))
-    raise ValueError(case.tag)
+        res = _norms(np.swapaxes(X, 1, 2) @ Om + Om @ X)
+    elif case.tag in ("E6", "G"):
+        res = _abs_traces(X)
+    else:
+        raise ValueError(case.tag)
+    return float(res[0]) if single else res
 
 
 def _act_on_form(X, alpha20):
-    """Induced action of X in gl(6) on covariant 3-form components."""
-    full = form3_to_array(np.asarray(alpha20))
+    """Induced action of each X in gl(6) of a stack on covariant 3-form components."""
+    full = form3_to_array(alpha20)
     Xc = np.asarray(X, dtype=full.dtype)
-    acted = -(
-        np.einsum("li,ljk->ijk", Xc, full)
-        + np.einsum("lj,ilk->ijk", Xc, full)
-        + np.einsum("lk,ijl->ijk", Xc, full)
-    )
-    return array_to_form3(acted)
+    acted = np.einsum("pli,pljk->pijk", Xc, full)
+    acted += np.einsum("plj,pilk->pijk", Xc, full)
+    acted += np.einsum("plk,pijl->pijk", Xc, full)
+    return -array_to_form3(acted)
 
 
 def rep_action(case: QuarticCase, gen: RepElement, v):
-    """Infinitesimal action of the generator on a point of the module."""
+    """Infinitesimal action of the generator on a point of the module, or of each generator of a stack on its row."""
+    V, single = _stack(case, v)
+    X = (_pick(gen, None) if single else gen).data
     if case.tag == "A":
-        return gen.data @ np.asarray(v, dtype=complex)
-    if case.tag == "BD":
-        R, L = gen.data
-        A = np.asarray(v, dtype=float)
-        return R @ A + A @ L.T
-    if case.tag == "E6":
-        return _act_on_form(gen.data, np.asarray(v, dtype=complex))
-    if case.tag == "F":
-        return _act_on_form(gen.data, np.asarray(v, dtype=float))
-    if case.tag == "G":
-        a, b, c, d = (float(x) for x in v)
-        (al, be), (ga, _) = gen.data
-        return np.array(
-            [
-                -3.0 * a * al - b * ga,
-                -3.0 * a * be - b * al - 2.0 * c * ga,
-                -2.0 * b * be + c * al - 3.0 * d * ga,
-                -c * be + 3.0 * d * al,
-            ]
-        )
-    raise ValueError(case.tag)
+        W = _mv(X, V)
+    elif case.tag == "BD":
+        R, L = X
+        W = R @ V + V @ np.swapaxes(L, 1, 2)
+    elif case.tag == "G":
+        a, b, c, d = V.T
+        al, be, ga = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0]
+        W = np.stack([-3.0 * a * al - b * ga, -3.0 * a * be - b * al - 2.0 * c * ga,
+                      -2.0 * b * be + c * al - 3.0 * d * ga, -c * be + 3.0 * d * al], axis=1)
+    else:
+        W = _act_on_form(X, V)
+    return W[0] if single else W
 
 
 def lie_invariance_residual(case: QuarticCase, v, gen: RepElement,
-                            step: float = 1e-6) -> float:
-    """|dQ_v(rho(gen) v)| / (1 + |Q(v)|) by central differences."""
-    if membership_residual(case, gen) > 1e-12:
+                            step: float = 1e-6):
+    """|dQ_v(rho(gen) v)| / (1 + |Q(v)|) by central differences, for one pair or each (v, gen) row of a stack.
+
+    Q is evaluated on three stacks, v + h w, v - h w and v; each row's quotient is taken in Python numbers.
+    """
+    if np.any(membership_residual(case, gen) > 1e-12):
         raise ValueError("generator violates its Lie-algebra membership")
-    v = np.asarray(v)
-    w = rep_action(case, gen, v)
-    h = step * (1.0 + float(np.linalg.norm(v.ravel())))
-    hi = quartic_eval(case, v + h * w)
-    lo = quartic_eval(case, v - h * w)
-    dq = (hi - lo) / (2.0 * h)
-    return abs(dq) / (1.0 + abs(quartic_eval(case, v)))
+    V, single = _stack(case, v)
+    W = rep_action(case, _pick(gen, None) if single else gen, V)
+    H = step * (1.0 + _norms(V))
+    dV = H.reshape((-1,) + (1,) * (V.ndim - 1)) * W
+    hi, lo, q = (quartic_eval(case, X) for X in (V + dV, V - dV, V))
+    res = [abs((a - b) / (2.0 * h)) / (1.0 + abs(c))
+           for a, b, c, h in zip(hi.tolist(), lo.tolist(), q.tolist(), H.tolist())]
+    return res[0] if single else np.array(res)
 
 
 # ---------------------------------------------------------------------------

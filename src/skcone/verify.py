@@ -140,7 +140,7 @@ def _admissible(ast, z) -> bool:
 
 
 def sample_points(config: SuiteConfig, ast=None, budget_factor: int = 100) -> list:
-    """Seeded admissible perturbations of the base point."""
+    """Seeded admissible perturbations of the base point; each round's draws are gated as one stack."""
     if ast is None:
         ast = parse_prepotential(config.prepotential, config.n_vars)
     base = np.asarray(config.base_point, dtype=complex)
@@ -159,14 +159,16 @@ def sample_points(config: SuiteConfig, ast=None, budget_factor: int = 100) -> li
                 f"found {len(points)}/{config.sample_count} admissible points "
                 f"in {budget} attempts"
             )
-        attempts += 1
-        direction = rng.standard_normal(m2)
-        norm = np.linalg.norm(direction)
-        radial = rng.random() ** (1.0 / m2)
-        offset = (config.sample_radius * radial / norm) * direction
-        z = base + geo.to_complex(offset)
-        if _admissible(ast, z):
-            points.append(z)
+        draws = []
+        for _ in range(min(config.sample_count - len(points), budget - attempts)):
+            direction = rng.standard_normal(m2)
+            norm = np.linalg.norm(direction)
+            radial = rng.random() ** (1.0 / m2)
+            offset = (config.sample_radius * radial / norm) * direction
+            draws.append(base + geo.to_complex(offset))
+        attempts += len(draws)
+        gate = geo.domain_sample(ast, np.array(draws))
+        points.extend(z for p, z in enumerate(draws) if p not in gate.rejected)
     return points
 
 
@@ -189,6 +191,7 @@ class _Context:
         self._charts: dict = {}
         self._lemma1: dict = {}
         self._hessians: dict = {}
+        self._homogeneity: dict = {}
         self._q_report = None
 
     def rng(self, salt: int, idx: int = 0):
@@ -205,6 +208,13 @@ class _Context:
         if idx not in self._hessians:
             self._hessians[idx] = _outcome(lambda: geo.flat_hessian_of_k(self.ast, self.samples[idx]))
         return _raised(self._hessians[idx])
+
+    def homogeneity(self, idx: int):
+        """check_homogeneity at sample idx with the suite's scales, computed once for the scale and Euler checks."""
+        if idx not in self._homogeneity:
+            z = self.samples[idx]
+            self._homogeneity[idx] = _outcome(lambda: check_homogeneity(self.ast, [z], _HOMOGENEITY_SCALES))
+        return _raised(self._homogeneity[idx])
 
     def q_report(self):
         """q_proportional_ksq over the samples, computed once per suite; a failure re-raises to every caller."""
@@ -264,7 +274,7 @@ class _Context:
         geo.invert_stencils(formed)
 
     def release(self, idx: int) -> None:
-        """Drop sample idx's sphere (with its charts), tangent pairs, Sasaki residuals, chart and Lemma 1 residuals.
+        """Drop sample idx's sphere (with its charts), tangent pairs, chart and Sasaki, Lemma 1, homogeneity residuals.
 
         The flat Hessians stay, for ``eq.ma.spread``, and so does the
         sphere's DomainSample at u, for ``sec5.remark2.sigma_xq``.
@@ -272,7 +282,7 @@ class _Context:
         sphere = self._spheres.pop(idx, None)
         if sphere is not None:
             self._sphere_domains[idx] = sphere.domain
-        for memo in (self._pairs, self._sasaki, self._charts, self._lemma1):
+        for memo in (self._pairs, self._sasaki, self._charts, self._lemma1, self._homogeneity):
             memo.pop(idx, None)
 
     def is_fs(self) -> bool:
@@ -302,15 +312,6 @@ def _raised(outcome):
 # ---------------------------------------------------------------------------
 # Check implementations
 # ---------------------------------------------------------------------------
-
-
-def _chk_homog_scale(ctx, idx, z):
-    rep = check_homogeneity(ctx.ast, [z], _HOMOGENEITY_SCALES)
-    return rep.scale_residual
-
-
-def _chk_homog_euler(ctx, idx, z):
-    return check_homogeneity(ctx.ast, [z], ()).euler_residual
 
 
 def _chk_ad_fd(ctx, idx, z):
@@ -521,19 +522,37 @@ _SEC5_CASES = {
 }
 
 
+def _sec5_worst(cases, residuals, draw_order):
+    """max_or_nan of residuals(c, rows)[r] over ``draw_order``, a list of (case index c, row r), one stack per case.
+
+    If a stack raises, its rows run alone in draw order, to raise the error the per-row loop raised first.
+    """
+    try:
+        per_case = [residuals(c, slice(None)) for c in range(len(cases))]
+    except _CHECK_ERRORS:
+        for c, r in draw_order:
+            residuals(c, slice(r, r + 1))
+        raise
+    worst = 0.0
+    for c, r in draw_order:
+        worst = max_or_nan(worst, per_case[c][r])
+    return worst
+
+
 def _sec5_invariance(tag):
     def run(ctx):
         cases = _SEC5_CASES[tag]()
         rng = ctx.rng(120 + ord(tag[0]))
-        worst = 0.0
-        pairs = 0
-        while pairs < 50:
-            for case in cases:
-                v = hom.random_vector(case, rng)
-                gen = hom.random_generator(case, rng)
-                worst = max_or_nan(worst, hom.lie_invariance_residual(case, v, gen))
-                pairs += 1
-        return {"pairs": pairs}, worst
+        rounds = -(-50 // len(cases))   # whole rounds of one pair per case, until 50 pairs
+        draws = [[(hom.draw_vector(case, rng), hom.draw_generator(case, rng)) for case in cases] for _ in range(rounds)]
+
+        def residuals(c, rows):
+            vs, gens = zip(*[row[c] for row in draws[rows]])
+            case = cases[c]
+            return hom.lie_invariance_residual(case, hom.vector_stack(case, vs), hom.generator_stack(case, gens))
+
+        order = [(c, r) for r in range(rounds) for c in range(len(cases))]
+        return {"pairs": len(order)}, _sec5_worst(cases, residuals, order)
 
     return run
 
@@ -542,15 +561,18 @@ def _sec5_homogeneity(tag):
     def run(ctx):
         cases = _SEC5_CASES[tag]()
         rng = ctx.rng(140 + ord(tag[0]))
-        worst = 0.0
-        for case in cases:
-            for _ in range(10):
-                v = hom.random_vector(case, rng)
-                t = 1.0 + rng.random()
-                q_scaled = hom.quartic_eval(case, t * v)
-                q_ref = t**4 * hom.quartic_eval(case, v)
-                worst = max_or_nan(worst, abs(q_scaled - q_ref) / (1.0 + abs(q_ref)))
-        return {"vectors": 10 * len(cases)}, worst
+        draws = [[(hom.draw_vector(case, rng), 1.0 + rng.random()) for _ in range(10)] for case in cases]
+
+        def residuals(c, rows):
+            vs, ts = zip(*draws[c][rows])
+            V = hom.vector_stack(cases[c], vs)
+            T = np.array(ts).reshape((-1,) + (1,) * (V.ndim - 1))
+            q_scaled, q = np.split(hom.quartic_eval(cases[c], np.concatenate([T * V, V])), 2)
+            refs = [t**4 * q0 for t, q0 in zip(ts, q.tolist())]
+            return [abs(qs - ref) / (1.0 + abs(ref)) for qs, ref in zip(q_scaled.tolist(), refs)]
+
+        order = [(c, r) for c in range(len(cases)) for r in range(10)]
+        return {"vectors": len(order)}, _sec5_worst(cases, residuals, order)
 
     return run
 
@@ -584,8 +606,8 @@ class _Check:
 
 
 _REGISTRY = {
-    "expr.homogeneity.scale": _Check("domain", "analytic", _chk_homog_scale),
-    "expr.homogeneity.euler": _Check("domain", "analytic", _chk_homog_euler),
+    "expr.homogeneity.scale": _Check("domain", "analytic", lambda c, i, z: c.homogeneity(i).scale_residual),
+    "expr.homogeneity.euler": _Check("domain", "analytic", lambda c, i, z: c.homogeneity(i).euler_residual),
     "expr.ad_vs_fd": _Check("domain", 1e-6, _chk_ad_fd, cap=50),
     "lemma1.h_xi_dbar_k": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r1"]),
     "lemma1.g_xi_dk": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"]),

@@ -367,3 +367,72 @@ def test_ratio_rejects_mismatched_signature(fs3):
 def test_ratio_requires_case_a(stu):
     with pytest.raises(ValueError):
         hom.q_proportional_ksq(hom.case_bd(3), stu, stu_points(2))
+
+
+# ---------------------------------------------------------------------------
+# stacks: one vector is a stack of one
+# ---------------------------------------------------------------------------
+
+SIZES = ([hom.case_a(n) for n in (1, 2, 3, 4)] + [hom.case_bd(n) for n in (2, 3, 4, 5)]
+         + [hom.case_e6(), hom.case_f(), hom.case_g()])
+
+
+def _bytes(x) -> bytes:
+    return b"".join(_bytes(y) for y in x) if isinstance(x, tuple) else np.asarray(x).tobytes()
+
+
+def _quartic_one_at_a_time(case, v):
+    """The per-vector formulas of cases A, BD and G, in Python numbers where they used them."""
+    if case.tag == "A":
+        gvv = 2.0 * float(np.real(np.conj(v) @ (case.structure["eta"] * v)))
+        return gvv * gvv
+    if case.tag == "BD":
+        return float(np.linalg.det(v.T @ case.structure["G"] @ v @ case.structure["Omega"]))
+    a, b, c, d = (float(x) for x in v)
+    A, B, C = 12.0 * a * c - 4.0 * b * b, 36.0 * a * d - 4.0 * b * c, 12.0 * b * d - 4.0 * c * c
+    return B * B - 4.0 * A * C
+
+
+@pytest.mark.parametrize("case", SIZES, ids=lambda c: f"{c.tag}{c.n}")
+def test_a_stack_gives_each_row_the_bytes_of_its_single_call(case):
+    """60 draws as stacks: the draws, Q, the action, membership and invariance equal the one-vector calls."""
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    pairs = [(hom.random_vector(case, rng), hom.random_generator(case, rng)) for _ in range(60)]
+    draws = [(hom.draw_vector(case, twin), hom.draw_generator(case, twin)) for _ in range(60)]
+    V = hom.vector_stack(case, [v for v, _ in draws])
+    gens = hom.generator_stack(case, [g for _, g in draws])
+    q, w = hom.quartic_eval(case, V), hom.rep_action(case, gens, V)
+    member, lie = hom.membership_residual(case, gens), hom.lie_invariance_residual(case, V, gens)
+    assert q.shape == member.shape == lie.shape == (60,) and w.shape == V.shape
+    for p, (v, gen) in enumerate(pairs):
+        assert V[p].tobytes() == v.tobytes()
+        assert _bytes(hom._pick(gens, p).data) == _bytes(gen.data)
+        single = hom.quartic_eval(case, v)
+        assert type(single) is (complex if case.tag == "E6" else float)
+        assert q[p].tobytes() == _bytes(single)
+        if case.tag in ("A", "BD", "G"):
+            assert q[p].tobytes() == _bytes(_quartic_one_at_a_time(case, v))
+        assert w[p].tobytes() == hom.rep_action(case, gen, v).tobytes()
+        assert member[p].tobytes() == _bytes(hom.membership_residual(case, gen))
+        assert lie[p].tobytes() == _bytes(hom.lie_invariance_residual(case, v, gen))
+
+
+@pytest.mark.parametrize("shape", [(d,) for d in range(1, 26)] + [(6, 6), (5, 2)])
+def test_stacked_norms_are_np_linalg_norm_bit_for_bit(shape, rng):
+    """Complex rows as sqrt(re.re + im.im) by matmul on the strided views; an einsum differs from d = 4 on."""
+    for X in (rng.standard_normal((30, *shape)), rng.standard_normal((30, *shape)) + 1j * rng.standard_normal((30, *shape))):
+        norms = hom._norms(X)
+        assert [n.tobytes() for n in norms] == [np.linalg.norm(x).tobytes() for x in X]
+
+
+def test_a_stack_raises_what_its_rows_raise(rng):
+    case = hom.case_f()
+    V = hom.vector_stack(case, [hom.draw_vector(case, rng) for _ in range(3)])
+    with pytest.raises(ValueError, match="not in ker"):
+        hom.quartic_eval(case, V + np.eye(20)[:3])
+    with pytest.raises(ValueError, match="case F expects 20 real 3-form components"):
+        hom.quartic_eval(case, V[:, :19])
+    gens = hom.generator_stack(case, [hom.draw_generator(case, rng) for _ in range(3)])
+    bad = hom.RepElement("F", gens.data + np.eye(6))
+    with pytest.raises(ValueError, match="violates its Lie-algebra membership"):
+        hom.lie_invariance_residual(case, V, bad)

@@ -5,8 +5,9 @@ pass/fail outcome differs from ``perfbench/inputs.json`` (a known failure
 that starts to pass counts too), or when two reports written in one process
 differ.  Seed 9 holds a known failure: a stencil point that stops 12% under
 Newton's exit tolerance, so it is where a drift in chart arithmetic shows
-first.  A ``point_queries`` run fails when any query's exit code or output
-misses its check.  These tests read ``inputs.json`` and ``run.py`` and write
+first.  ``suite_sec5`` has the same gate with no known failure.  A
+``point_queries`` run fails when any query's exit code or output misses
+its check.  These tests read ``inputs.json`` and ``run.py`` and write
 nothing under ``perfbench/``.
 """
 
@@ -34,6 +35,25 @@ def test_suite_stu_seed_9_replays_the_benchmark_gate(tmp_path, capsys):
     for run in range(2):
         out = tmp_path / f"report{run}.json"
         assert cli.main(["verify", f"--config={config}", f"--out={out}"]) == 1
+        reports.append(out.read_bytes())
+        got = {(c["id"], c["point"].get("sample")): c["pass"] for c in json.loads(reports[-1])["checks"]}
+        assert got == expected
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+def test_suite_sec5_replays_the_benchmark_gate(tmp_path, capsys):
+    """The ten sec5 ids at the config's own seed: each passes, exit 0, the same bytes twice."""
+    inputs = json.loads(INPUTS.read_text())
+    config = tmp_path / "suite_sec5.config.json"
+    config.write_text(json.dumps(inputs["configs"]["suite_sec5"], indent=2))
+    assert "suite_sec5" not in inputs["known_failures"]
+    expected = {(cid, sample): True for cid, sample in inputs["expected"]["suite_sec5"]}
+
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
+        assert cli.main(["verify", f"--config={config}", f"--out={out}"]) == 0
         reports.append(out.read_bytes())
         got = {(c["id"], c["point"].get("sample")): c["pass"] for c in json.loads(reports[-1])["checks"]}
         assert got == expected

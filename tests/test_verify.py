@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import skcone.verify as verify
 from skcone import cone
+from skcone import homogeneous as hom
 from skcone import geometry as geo
 from skcone.errors import AdmissibleRegionTooSmall, DegenerateMetric, InadmissiblePoint
 
@@ -83,6 +85,73 @@ def test_rejection_resampling_still_fills():
     pts = verify.sample_points(cfg)  # default budget absorbs the rejections
     assert len(pts) == 64
     assert all(verify._admissible(verify.parse_prepotential(cfg.prepotential, 2), p) for p in pts)
+
+
+NEAR_GATE = dict(prepotential="i*(z0^2 - z1^2)", n_vars=2, seed=3, base_point=(1.0, np.sqrt(1 - 2e-8)),
+                 sample_radius=5e-8, sample_count=64)
+
+
+def _sample_one_at_a_time(config, budget_factor):
+    """The per-candidate sampling loop: (points or the error it raises, attempts)."""
+    ast = verify.parse_prepotential(config.prepotential, config.n_vars)
+    base = np.asarray(config.base_point, dtype=complex)
+    rng = np.random.default_rng(config.seed)
+    m2 = 2 * config.n_vars
+    points, attempts, budget = [], 0, budget_factor * config.sample_count
+    while len(points) < config.sample_count:
+        if attempts >= budget:
+            count = config.sample_count
+            return AdmissibleRegionTooSmall(f"found {len(points)}/{count} admissible points in {budget} attempts"), attempts
+        attempts += 1
+        direction = rng.standard_normal(m2)
+        norm = np.linalg.norm(direction)
+        radial = rng.random() ** (1.0 / m2)
+        z = base + geo.to_complex((config.sample_radius * radial / norm) * direction)
+        if verify._admissible(ast, z):
+            points.append(z)
+    return points, attempts
+
+
+def _one_in_three(real):
+    """domain_sample that also rejects each point but one in three, keyed on the bits of Im z0 (0 at the base)."""
+    def gate(ast, z, *args, **kwargs):
+        out = real(ast, z, *args, **kwargs)
+        for p, row in enumerate(np.atleast_2d(z)):
+            if int(np.float64(row[0].imag).view(np.uint64)) % 3:
+                if np.ndim(z) == 1:
+                    raise InadmissiblePoint("rejected by the test gate")
+                out.rejected.setdefault(p, InadmissiblePoint("rejected by the test gate"))
+        return out
+    return gate
+
+
+@pytest.mark.parametrize("one_in_three", [False, True])
+def test_stacked_sampling_keeps_the_per_candidate_points_attempts_and_error(monkeypatch, one_in_three):
+    """The near-gate fixture, and with a gate that rejects two in three (a round clipped by the budget)."""
+    if one_in_three:
+        monkeypatch.setattr(geo, "domain_sample", _one_in_three(geo.domain_sample))
+    gated = []
+    real = geo.domain_sample
+
+    def gate(ast, z, *args, **kwargs):
+        gated.append(len(z) if np.ndim(z) == 2 else 0)
+        return real(ast, z, *args, **kwargs)
+
+    config = small_config(**NEAR_GATE)
+    for budget_factor in (1, 2, 3, 5, 100):
+        expected, attempts = _sample_one_at_a_time(config, budget_factor)
+        gated.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(geo, "domain_sample", gate)
+            try:
+                got = verify.sample_points(config, budget_factor=budget_factor)
+            except AdmissibleRegionTooSmall as exc:
+                got = exc
+        assert sum(gated) == attempts
+        if isinstance(expected, Exception):
+            assert type(got) is AdmissibleRegionTooSmall and str(got) == str(expected)
+        else:
+            assert [z.tobytes() for z in got] == [z.tobytes() for z in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +312,6 @@ def test_registry_has_spec_ids():
 # ---------------------------------------------------------------------------
 
 
-def _nan_on_call(real, nth):
-    """Wrap ``real`` so that its nth call (1-based) returns NaN."""
-    calls = [0]
-
-    def wrapped(*args, **kwargs):
-        calls[0] += 1
-        return float("nan") if calls[0] == nth else real(*args, **kwargs)
-
-    return wrapped
-
-
 def test_nan_in_a_later_pair_fails_the_check(monkeypatch):
     real = cone.gauss_split
 
@@ -269,11 +327,154 @@ def test_nan_in_a_later_pair_fails_the_check(monkeypatch):
 
 
 def test_nan_in_a_later_sec5_pair_fails_the_check(monkeypatch):
-    monkeypatch.setattr(verify.hom, "lie_invariance_residual",
-                        _nan_on_call(verify.hom.lie_invariance_residual, 2))
+    real = verify.hom.lie_invariance_residual
+
+    def nan_in_the_second_pair(*args, **kwargs):
+        residuals = real(*args, **kwargs)
+        residuals[1] = float("nan")
+        return residuals
+
+    monkeypatch.setattr(verify.hom, "lie_invariance_residual", nan_in_the_second_pair)
     report = verify.run_suite(small_config(sample_count=1, checks=("sec5.G.invariance",)))
     (result,) = report.checks
     assert np.isnan(result.residual) and not result.passed
+
+
+SEC5_IDS = tuple(cid for cid in verify.CHECK_IDS if cid.startswith("sec5.") and ".remark2." not in cid)
+
+
+def _sec5_one_at_a_time(cid, seed):
+    """The per-pair loops of the sec5 checks: one vector (and generator) at a time, in draw order."""
+    _, tag, kind = cid.split(".")
+    cases = verify._SEC5_CASES[tag]()
+    worst = 0.0
+    if kind == "invariance":
+        rng = np.random.default_rng([seed, 120 + ord(tag[0]), 0])
+        pairs = 0
+        while pairs < 50:
+            for case in cases:
+                v, gen = hom.random_vector(case, rng), hom.random_generator(case, rng)
+                worst = verify.max_or_nan(worst, hom.lie_invariance_residual(case, v, gen))
+                pairs += 1
+        return worst
+    rng = np.random.default_rng([seed, 140 + ord(tag[0]), 0])
+    for case in cases:
+        for _ in range(10):
+            v = hom.random_vector(case, rng)
+            t = 1.0 + rng.random()
+            q_ref = t**4 * hom.quartic_eval(case, v)
+            worst = verify.max_or_nan(worst, abs(hom.quartic_eval(case, t * v) - q_ref) / (1.0 + abs(q_ref)))
+    return worst
+
+
+@pytest.mark.parametrize("cid", SEC5_IDS)
+def test_a_stacked_sec5_check_equals_its_per_pair_loop(cid):
+    for seed in (42, 5):
+        (result,) = verify.run_suite(small_config(seed=seed, sample_count=1, checks=(cid,))).checks
+        assert result.passed and result.residual == _sec5_one_at_a_time(cid, seed)
+
+
+def _faulty_draws(mp, faults):
+    """Make the kth pair drawn for case (tag, n) fail as ``faults[tag, n, k]`` says.
+
+    "shape" drops the vector's last component, "kernel" moves it out of
+    ker(omega ^ .) and "member" moves the generator out of its Lie algebra.
+    """
+    drawn, marked = Counter(), {}
+    draw_vector, draw_generator = hom.draw_vector, hom.draw_generator
+    vector_stack, generator_stack = hom.vector_stack, hom.generator_stack
+
+    def draw(real, part):
+        def drawer(case, rng):
+            key = (case.tag, case.n, drawn[part, case.tag, case.n])
+            drawn[part, case.tag, case.n] += 1
+            raw = real(case, rng)
+            if faults.get(key) == "shape" and part == "v":
+                raw = tuple(x[:-1] for x in raw) if isinstance(raw, tuple) else raw[:-1]
+            marked[id(raw)] = (raw, faults.get(key))
+            return raw
+        return drawer
+
+    def vectors(case, draws):
+        V = vector_stack(case, draws)
+        for p, raw in enumerate(draws):
+            if marked[id(raw)][1] == "kernel":
+                V[p] += 1.0
+        return V
+
+    def generators(case, draws):
+        gens = generator_stack(case, draws)
+        for p, raw in enumerate(draws):
+            if marked[id(raw)][1] == "member":
+                matrices = gens.data[0] if case.tag == "BD" else gens.data
+                matrices[p] += np.eye(matrices.shape[-1])
+        return gens
+
+    mp.setattr(hom, "draw_vector", draw(draw_vector, "v"))
+    mp.setattr(hom, "draw_generator", draw(draw_generator, "g"))
+    mp.setattr(hom, "vector_stack", vectors)
+    mp.setattr(hom, "generator_stack", generators)
+
+
+@pytest.mark.parametrize("cid, faults, first", [
+    # case A1's pair 5 (draw 20) has a bad shape, case A3's pair 3 (draw 14) a bad generator
+    ("sec5.A.invariance", {("A", 1, 5): "shape", ("A", 3, 3): "member"}, "violates its Lie-algebra membership"),
+    # BD3's vector 8 (draw 18) and BD5's vector 1 (draw 31) have bad shapes
+    ("sec5.BD.homogeneity", {("BD", 5, 1): "shape", ("BD", 3, 8): "shape"}, "case BD expects a real 4 x 2 matrix"),
+    # pair 7 has a bad generator, which a stack checks first, and pair 3 a vector outside the kernel
+    ("sec5.F.invariance", {("F", 6, 7): "member", ("F", 6, 3): "kernel"}, "case F input is not in ker"),
+])
+def test_a_sec5_check_raises_the_first_error_in_draw_order(cid, faults, first):
+    with pytest.MonkeyPatch.context() as mp:
+        _faulty_draws(mp, faults)
+        with pytest.raises(ValueError, match=first) as expected:
+            _sec5_one_at_a_time(cid, FS_CONFIG.seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _faulty_draws(mp, faults)
+        (result,) = verify.run_suite(small_config(sample_count=1, checks=(cid,))).checks
+    assert result.residual is None and not result.passed
+    assert result.point["error"] == f"ValueError: {expected.value}"
+
+
+def test_a_sec5_suite_makes_one_sampling_stack_and_few_quartic_stacks(monkeypatch):
+    calls, gated = [], []
+    real_quartic, real_gate = hom.quartic_eval, geo.domain_sample
+
+    def quartic_eval(case, v):
+        calls.append(case.tag)
+        return real_quartic(case, v)
+
+    def gate(ast, z, *args, **kwargs):
+        gated.append(np.shape(z))
+        return real_gate(ast, z, *args, **kwargs)
+
+    monkeypatch.setattr(hom, "quartic_eval", quartic_eval)
+    monkeypatch.setattr(geo, "domain_sample", gate)
+    assert verify.run_suite(small_config(sample_count=16, checks=SEC5_IDS)).all_pass
+    per_case = Counter(calls)
+    assert len(calls) <= 55 and per_case["A"] <= 20 and per_case["BD"] <= 20
+    assert max(per_case["E6"], per_case["F"], per_case["G"]) <= 5
+    assert gated == [(3,), (16, 3)]   # the base point, then one stack of the 16 draws
+
+
+def test_the_homogeneity_checks_share_one_call_per_sample(monkeypatch):
+    calls = []
+    real = verify.check_homogeneity
+
+    def check_homogeneity(ast, samples, scales):
+        calls.append(scales)
+        return real(ast, samples, scales)
+
+    monkeypatch.setattr(verify, "check_homogeneity", check_homogeneity)
+    config = small_config(checks=("expr.homogeneity.scale", "expr.homogeneity.euler"))
+    report = verify.run_suite(config)
+    assert calls == [verify._HOMOGENEITY_SCALES] * config.sample_count
+    ast = verify.parse_prepotential(config.prepotential, config.n_vars)
+    for result in report.checks:
+        z = verify.sample_points(config)[result.point["sample"]]
+        alone = real(ast, [z], ()).euler_residual if result.id.endswith("euler") else real(
+            ast, [z], verify._HOMOGENEITY_SCALES).scale_residual
+        assert result.residual == alone
 
 
 def test_summary_max_residual_keeps_a_later_nan(monkeypatch):
