@@ -30,10 +30,10 @@ from .geometry import (  # noqa: F401
     invert_stencils,
     kahler_potential,
 )
-from .projective import fs_prepotential
 
-# Global Hamiltonian sign, fixed once on the Fubini-Study case (see
-# fit_hamiltonian_sign) and asserted for every other input.
+# Global sign of the Hamiltonian field of k^2 against 2k * sigma under this
+# package's conventions for omega, J and k; reports record it, and the
+# Fubini-Study case, where the field is exactly +2k * sigma, pins it.
 HAMILTONIAN_SIGN = 1.0
 
 _OUTER_STEP = 3e-4   # outer derivative of quantities that are themselves FD
@@ -366,8 +366,7 @@ def _hamiltonian_field(dom: DomainSample, potential=None) -> tuple:
     return X_flat, 2.0 * dom.k * (dom.flat_jac @ (dom.J @ dom.xi))
 
 
-def hamiltonian_field_residual(dom: DomainSample, potential=None,
-                               sign: float = HAMILTONIAN_SIGN) -> float:
+def hamiltonian_field_residual(dom: DomainSample, potential=None) -> float:
     """Residual of sigma = J xi against the Hamiltonian field of k^2 at a point u of S.
 
     ``dom`` is the sample at u (a sphere sample's ``domain``); sigma is the
@@ -375,20 +374,13 @@ def hamiltonian_field_residual(dom: DomainSample, potential=None,
 
     The field X solves iota_X omega_can = d(potential) in flat coordinates,
     with omega_can the canonical Darboux matrix of the chart (the constant
-    pushforward of omega, normalized).  The reference is sign * 2k * sigma;
-    on S the factor 2k equals kappa, so one fitted global sign covers both
-    metric branches.  ``potential`` defaults to k^2 with analytic gradient;
+    pushforward of omega, normalized).  The reference is HAMILTONIAN_SIGN *
+    2k * sigma; on S the factor 2k equals kappa, so one global sign covers
+    both metric branches.  ``potential`` defaults to k^2 with analytic gradient;
     a callable (real frame -> float) is differentiated numerically.
     """
     X_flat, ref = _hamiltonian_field(dom, potential)
-    return float(np.linalg.norm(X_flat - sign * ref))
-
-
-def fit_hamiltonian_sign(dim: int = 3) -> float:
-    """Fit the global Hamiltonian sign on the Fubini-Study case."""
-    z = np.full(dim, 0.4 + 0.3j, dtype=complex)
-    X_flat, ref = _hamiltonian_field(project_to_sphere(fs_prepotential(dim), z).domain)
-    return float(np.sign(X_flat @ ref))
+    return float(np.linalg.norm(X_flat - HAMILTONIAN_SIGN * ref))
 
 
 def _scaled_direction(sphere: SphereSample, r: float, X) -> tuple:

@@ -31,8 +31,9 @@ from .errors import (
 )
 from .expr import PrepotentialAst, eval_jet
 
-K_MIN_DEFAULT = 1e-8
+K_MIN = 1e-8
 DET_RTOL = 1e-12
+NEWTON_STEPS = 50
 FIELD_STEP = 1e-5   # first derivatives of fields along the chart
 GAMMA_STEP = 1e-4   # derivatives of the pushforward of g (Christoffels)
 CHART_STEP = 1e-4   # the domain checks' stencils along the flat chart
@@ -305,8 +306,7 @@ def kahler_potential(ast: PrepotentialAst, z) -> float:
     return _k_of(eval_jet(ast, z, 1), z)
 
 
-def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
-                  jet=None) -> DomainSample:
+def domain_sample(ast: PrepotentialAst, z, jet=None) -> DomainSample:
     """Gate the point z, or every row of a stack z (P, m), and store what the gate computes.
 
     ``jet`` is a jet of F at z of order >= 2 (stacked for a stack) to build
@@ -328,11 +328,11 @@ def domain_sample(ast: PrepotentialAst, z, k_min: float = K_MIN_DEFAULT,
     # The scale max(1, |N|^m) with np.linalg.norm(N[p])'s arithmetic.  The
     # power stays Python's: numpy's array power differs from it in the last bit.
     bound = DET_RTOL * np.array([max(1.0, r ** m) for r in _row_norms(N.reshape(len(Z), -1)).tolist()])
-    for p in np.flatnonzero((np.abs(k) < k_min) | (det_n < bound)).tolist():
+    for p in np.flatnonzero((np.abs(k) < K_MIN) | (det_n < bound)).tolist():
         if p in rejected:
             continue
-        if abs(k[p]) < k_min:
-            rejected[p] = InadmissiblePoint(f"|k| = {abs(k[p]):.3e} below admissibility gate {k_min:.1e}")
+        if abs(k[p]) < K_MIN:
+            rejected[p] = InadmissiblePoint(f"|k| = {abs(k[p]):.3e} below admissibility gate {K_MIN:.1e}")
         else:
             rejected[p] = DegenerateMetric(f"|det Im d2F| = {det_n[p]:.3e} below {bound[p]:.3e}")
     if not single:
@@ -365,7 +365,7 @@ def _solve_rows(jacs, res):
         return steps, singular
 
 
-def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
+def _newton(ast: PrepotentialAst, targets, w, jet) -> list:
     """Newton-invert the flat map at every row of ``targets``, from the real seed w of all rows or of each (P, 2m).
 
     ``jet`` is the order-2 jet at the seed (stacked for per-row seeds), or
@@ -382,7 +382,7 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
     W = np.array(np.broadcast_to(w, targets.shape))
     out = [None] * len(targets)
     live = np.arange(len(targets))   # rows still stepping
-    for _ in range(max_steps):
+    for _ in range(NEWTON_STEPS):
         if jet is None:
             jet = eval_jet(ast, to_complex(W[live]), 2)
             rows = np.arange(len(live))   # each live row's row in the jet
@@ -419,7 +419,7 @@ def _newton(ast: PrepotentialAst, targets, w, jet, max_steps: int = 50) -> list:
         W[live] -= steps
         jet = None
     for i in live.tolist():
-        out[i] = NoConvergence(f"Newton did not reach tolerance {tols[i]:.1e} in {max_steps} steps")
+        out[i] = NoConvergence(f"Newton did not reach tolerance {tols[i]:.1e} in {NEWTON_STEPS} steps")
     return out
 
 
@@ -430,7 +430,7 @@ def _inverted(hit):
     return hit
 
 
-def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50) -> np.ndarray:
+def invert_flat_coords(ast: PrepotentialAst, target, z_init) -> np.ndarray:
     """Newton-invert the flat coordinate map near ``z_init``.
 
     Returns z with |flat(z) - target| <= 1e-12 * (1 + |target|).
@@ -441,7 +441,7 @@ def invert_flat_coords(ast: PrepotentialAst, target, z_init, max_steps: int = 50
     call pays that loop's per-step bookkeeping and no suite or query calls it.
     """
     w0 = to_real(np.asarray(z_init, dtype=complex))
-    return to_complex(_inverted(_newton(ast, [target], w0, None, max_steps)[0])[0])
+    return to_complex(_inverted(_newton(ast, [target], w0, None)[0])[0])
 
 
 def _central(field, w, dw, h) -> np.ndarray:

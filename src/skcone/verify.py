@@ -13,7 +13,8 @@ results are sorted before emission.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -101,9 +102,17 @@ def config_from_dict(data: dict) -> SuiteConfig:
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ValueError("tolerances must be an object")
-    base = tuple(complex(re, im) for re, im in data["base_point"])
+    unknown = set(tol) - {f.name for f in fields(ToleranceProfile)}
+    if unknown:
+        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+    try:
+        base = tuple(complex(re, im) for re, im in data["base_point"])
+    except (TypeError, ValueError):
+        raise ValueError("base_point must be a list of [re, im] pairs") from None
     checks = data.get("checks")
     if checks is not None:
+        if not isinstance(checks, (list, tuple)):
+            raise ValueError("checks must be a list of check ids")
         checks = tuple(checks)
         for cid in checks:
             if cid not in _REGISTRY:
@@ -173,35 +182,25 @@ def sample_points(config: SuiteConfig, ast=None, budget_factor: int = 100) -> li
 
 
 # ---------------------------------------------------------------------------
-# Context shared by check runners
+# The suite and its samples, as check runners see them
 # ---------------------------------------------------------------------------
 
 
 class _Context:
+    """What lives as long as the suite: its config, samples and what the aggregate checks read of them."""
+
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.ast = parse_prepotential(config.prepotential, config.n_vars)
         self.samples = sample_points(config, self.ast)
         self.signature = hom.quadratic_signature(self.ast)
         self.fitted: dict = {}
-        self._spheres: dict = {}
-        self._sphere_domains: dict = {}
-        self._sasaki: dict = {}
-        self._pairs: dict = {}    # idx -> {(count, salt): tangent pairs}
-        self._charts: dict = {}
-        self._lemma1: dict = {}
+        self.sphere_domains: dict = {}   # idx -> the DomainSample at the sphere point u, for sec5.remark2.sigma_xq
         self._hessians: dict = {}
-        self._homogeneity: dict = {}
         self._q_report = None
 
     def rng(self, salt: int, idx: int = 0):
         return np.random.default_rng([self.config.seed, salt, idx])
-
-    def chart(self, idx: int):
-        """The flat chart seeded at sample idx, whose base and stencils the domain checks at z share."""
-        if idx not in self._charts:
-            self._charts[idx] = geo.FlatChart(self.ast, self.samples[idx])
-        return self._charts[idx]
 
     def flat_hessian(self, idx: int):
         """flat_hessian_of_k at sample idx, computed once; a failure re-raises to every caller."""
@@ -209,81 +208,17 @@ class _Context:
             self._hessians[idx] = _outcome(lambda: geo.flat_hessian_of_k(self.ast, self.samples[idx]))
         return _raised(self._hessians[idx])
 
-    def homogeneity(self, idx: int):
-        """check_homogeneity at sample idx with the suite's scales, computed once for the scale and Euler checks."""
-        if idx not in self._homogeneity:
-            z = self.samples[idx]
-            self._homogeneity[idx] = _outcome(lambda: check_homogeneity(self.ast, [z], _HOMOGENEITY_SCALES))
-        return _raised(self._homogeneity[idx])
-
     def q_report(self):
         """q_proportional_ksq over the samples, computed once per suite; a failure re-raises to every caller."""
         if self._q_report is None:
             self._q_report = _outcome(lambda: hom.q_proportional_ksq(self.case_a(), self.ast, self.samples))
         return _raised(self._q_report)
 
-    def lemma1(self, idx: int):
-        """Lemma 1 residuals at sample idx, relative to 1 + |k|."""
-        if idx not in self._lemma1:
-            chart = self.chart(idx)
-            scale = 1.0 + abs(chart.base.k)
-            self._lemma1[idx] = {key: r / scale for key, r in geo.lemma1_residuals(chart).items()}
-        return self._lemma1[idx]
-
-    def sphere(self, idx: int):
-        if idx not in self._spheres:
-            self._spheres[idx] = cone_mod.project_to_sphere(self.ast, self.samples[idx])
-        return self._spheres[idx]
-
     def sphere_domain(self, idx: int):
-        """The DomainSample at sample idx's sphere point u; unlike the sphere and its charts, it outlives release."""
-        if idx not in self._sphere_domains:
-            sphere = self._spheres.get(idx) or cone_mod.project_to_sphere(self.ast, self.samples[idx])
-            self._sphere_domains[idx] = sphere.domain
-        return self._sphere_domains[idx]
-
-    def tangent_pairs(self, idx: int, count: int, salt: int = 101):
-        """The ``count`` seeded tangent pairs at sample idx's sphere point for ``salt``, drawn once per sample."""
-        drawn = self._pairs.setdefault(idx, {})
-        if (count, salt) not in drawn:
-            sphere, rng = self.sphere(idx), self.rng(salt, idx)
-            drawn[count, salt] = [(cone_mod.random_tangent(sphere, rng), cone_mod.random_tangent(sphere, rng))
-                                  for _ in range(count)]
-        return drawn[count, salt]
-
-    def sasaki(self, idx: int):
-        if idx not in self._sasaki:
-            self._sasaki[idx] = cone_mod.sasaki_residuals(self.sphere(idx), self.tangent_pairs(idx, 2))
-        return self._sasaki[idx]
-
-    def hand_over(self, idx: int, stencils) -> None:
-        """Newton-invert the chart points that ``stencils`` give at sample idx, as one stack across its charts.
-
-        A stencil is a function (ctx, idx) -> (chart, points); one that
-        several checks share is asked once.  A hand-over never raises: a
-        stencil that cannot be formed is left out, and a row that fails is
-        not memoised, so the check that needs it inverts it again and raises
-        the error it raises alone.
-        """
-        formed = []
-        for stencil in dict.fromkeys(stencils):
-            try:
-                formed.append(stencil(self, idx))
-            except _CHECK_ERRORS:
-                continue
-        geo.invert_stencils(formed)
-
-    def release(self, idx: int) -> None:
-        """Drop sample idx's sphere (with its charts), tangent pairs, chart and Sasaki, Lemma 1, homogeneity residuals.
-
-        The flat Hessians stay, for ``eq.ma.spread``, and so does the
-        sphere's DomainSample at u, for ``sec5.remark2.sigma_xq``.
-        """
-        sphere = self._spheres.pop(idx, None)
-        if sphere is not None:
-            self._sphere_domains[idx] = sphere.domain
-        for memo in (self._pairs, self._sasaki, self._charts, self._lemma1, self._homogeneity):
-            memo.pop(idx, None)
+        """The DomainSample at sample idx's sphere point u: its _Sample's, or projected here if it built none."""
+        if idx not in self.sphere_domains:
+            self.sphere_domains[idx] = cone_mod.project_to_sphere(self.ast, self.samples[idx]).domain
+        return self.sphere_domains[idx]
 
     def is_fs(self) -> bool:
         return self.signature is not None and np.all(self.signature == 1.0)
@@ -292,6 +227,73 @@ class _Context:
         if self.signature is None:
             return None
         return hom.case_a(self.config.n_vars - 1, signature=self.signature)
+
+
+class _Sample:
+    """Sample idx of a suite and what its checks share, each computed once, on first use.
+
+    It lives while its sample's checks run (see :func:`_run_sample`), so its
+    chart at z, its sphere with the charts at u and r·u, its tangent pairs
+    and its residuals are freed with it.
+    """
+
+    def __init__(self, ctx: _Context, idx: int):
+        self.ctx, self.idx = ctx, idx
+        self.ast = ctx.ast
+        self.z = ctx.samples[idx]
+        self._pairs: dict = {}   # (count, salt) -> tangent pairs
+
+    def rng(self, salt: int):
+        return self.ctx.rng(salt, self.idx)
+
+    @cached_property
+    def chart(self):
+        """The flat chart seeded at z, whose base and stencils the domain checks share."""
+        return geo.FlatChart(self.ast, self.z)
+
+    @cached_property
+    def homogeneity(self):
+        """check_homogeneity at z with the suite's scales, computed once for the scale and Euler checks."""
+        return check_homogeneity(self.ast, [self.z], _HOMOGENEITY_SCALES)
+
+    @cached_property
+    def lemma1(self) -> dict:
+        """Lemma 1 residuals at z, relative to 1 + |k|."""
+        scale = 1.0 + abs(self.chart.base.k)
+        return {key: r / scale for key, r in geo.lemma1_residuals(self.chart).items()}
+
+    @cached_property
+    def sphere(self):
+        return cone_mod.project_to_sphere(self.ast, self.z)
+
+    def tangent_pairs(self, count: int, salt: int = 101):
+        """The ``count`` seeded tangent pairs at the sphere point for ``salt``, drawn once per sample."""
+        if (count, salt) not in self._pairs:
+            sphere, rng = self.sphere, self.rng(salt)
+            self._pairs[count, salt] = [(cone_mod.random_tangent(sphere, rng), cone_mod.random_tangent(sphere, rng))
+                                        for _ in range(count)]
+        return self._pairs[count, salt]
+
+    @cached_property
+    def sasaki(self):
+        return cone_mod.sasaki_residuals(self.sphere, self.tangent_pairs(2))
+
+    def hand_over(self, stencils) -> None:
+        """Newton-invert the chart points that ``stencils`` give, as one stack across the sample's charts.
+
+        A stencil is a function (sample) -> (chart, points); one that
+        several checks share is asked once.  A hand-over never raises: a
+        stencil that cannot be formed is left out, and a row that fails is
+        not memoised, so the check that needs it inverts it again and raises
+        the error it raises alone.
+        """
+        formed = []
+        for stencil in dict.fromkeys(stencils):
+            try:
+                formed.append(stencil(self))
+            except _CHECK_ERRORS:
+                continue
+        geo.invert_stencils(formed)
 
 
 def _outcome(compute):
@@ -314,127 +316,107 @@ def _raised(outcome):
 # ---------------------------------------------------------------------------
 
 
-def _chk_ad_fd(ctx, idx, z):
-    return jet_fd_residual(ctx.ast, z)
-
-
-def _chk_npotential(ctx, idx, z):
-    s = ctx.chart(idx).base
-    H = ctx.flat_hessian(idx)
-    push = s.flat_form(s.g)
+def _chk_npotential(s):
+    base = s.chart.base
+    H = s.ctx.flat_hessian(s.idx)
+    push = base.flat_form(base.g)
     return float(np.max(np.abs(H - push))) / max(1.0, float(np.max(np.abs(push))))
 
 
-def _chk_hessian_oracle(ctx, idx, z):
-    H = ctx.flat_hessian(idx)
-    Hfd = geo.flat_hessian_fd(ctx.chart(idx))
+def _chk_hessian_oracle(s):
+    H = s.ctx.flat_hessian(s.idx)
+    Hfd = geo.flat_hessian_fd(s.chart)
     return float(np.max(np.abs(H - Hfd))) / max(1.0, float(np.max(np.abs(H))))
 
 
-def _chk_sphere_level(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_sphere_level(s):
+    sp = s.sphere
     return abs(sp.domain.k - sp.kappa / 2.0)
 
 
-def _chk_frame_tangency(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_frame_tangency(s):
+    sp = s.sphere
     return float(np.max(np.abs(sp.frame @ sp.domain.dk)))
 
 
-def _chk_sigma_length(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_sigma_length(s):
+    sp = s.sphere
     return abs(float(sp.sigma @ sp.domain.g @ sp.sigma) - sp.kappa)
 
 
 # The seeded tangent pairs each sphere check with a stencil draws at u:
-# (count, salt) for ctx.tangent_pairs.
+# (count, salt) for _Sample.tangent_pairs.
 _GAUSS_PAIRS = (2, 103)
 _SHAPE_PAIRS = (2, 104)
 _RADIAL_PAIRS = (1, 105)
 _POSITION_PAIRS = (1, 106)
 
 
-def _chk_gauss(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_gauss(s):
+    sp = s.sphere
     worst = 0.0
-    for X, Y in ctx.tangent_pairs(idx, *_GAUSS_PAIRS):
+    for X, Y in s.tangent_pairs(*_GAUSS_PAIRS):
         split = cone_mod.gauss_split(sp, X, Y)
         worst = max_or_nan(worst, abs(split.normal_coeff - sp.domain.g_form(X, Y)))
     return worst
 
 
-def _chk_shape(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_shape(s):
+    sp = s.sphere
     worst = 0.0
-    for X, _ in ctx.tangent_pairs(idx, *_SHAPE_PAIRS):
+    for X, _ in s.tangent_pairs(*_SHAPE_PAIRS):
         worst = max_or_nan(worst, cone_mod.shape_residual(sp, X))
     return worst
 
 
-def _chk_mean_curvature(ctx, idx, z):
-    return cone_mod.mean_curvature_residual(ctx.sphere(idx))
-
-
-def _chk_volume(ctx, idx, z):
-    return cone_mod.blaschke_volume_residual(ctx.sphere(idx))
-
-
-def _chk_hamiltonian(ctx, idx, z):
-    return cone_mod.hamiltonian_field_residual(ctx.sphere(idx).domain)
-
-
-def _chk_warped_radial(ctx, idx, z):
-    sp = ctx.sphere(idx)
-    (X, Y), = ctx.tangent_pairs(idx, *_RADIAL_PAIRS)
+def _chk_warped_radial(s):
+    sp = s.sphere
+    (X, Y), = s.tangent_pairs(*_RADIAL_PAIRS)
     return cone_mod.warped_product_residuals(sp, _WARPED_R, X, Y)
 
 
-def _chk_warped_position(ctx, idx, z):
-    sp = ctx.sphere(idx)
-    (X, _), = ctx.tangent_pairs(idx, *_POSITION_PAIRS)
+def _chk_warped_position(s):
+    sp = s.sphere
+    (X, _), = s.tangent_pairs(*_POSITION_PAIRS)
     return cone_mod.warped_position_residual(sp, _WARPED_R, X)
 
 
-def _chk_submersion(ctx, idx, z):
-    dom = ctx.sphere(idx).domain
+def _chk_submersion(s):
+    dom = s.sphere.domain
     worst = 0.0
-    for X, _ in ctx.tangent_pairs(idx, 2, salt=107):
+    for X, _ in s.tangent_pairs(2, salt=107):
         worst = max_or_nan(worst, proj.submersion_residual(dom, proj.horizontal_project(dom, X)))
     return worst
 
 
-def _chk_pkm_vertical(ctx, idx, z):
-    return proj.pkm_vertical_residual(ctx.sphere(idx).domain)
-
-
-def _chk_pkm_pullback(ctx, idx, z):
-    dom = ctx.sphere(idx).domain
+def _chk_pkm_pullback(s):
+    dom = s.sphere.domain
     worst = 0.0
-    for X, _ in ctx.tangent_pairs(idx, 2, salt=108):
+    for X, _ in s.tangent_pairs(2, salt=108):
         worst = max_or_nan(worst, proj.pkm_pullback_residual(dom, X))
     return worst
 
 
-def _chk_pkm_scale(ctx, idx, z):
-    sp = ctx.sphere(idx)
-    (X, _), = ctx.tangent_pairs(idx, 1, salt=109)
-    return proj.pkm_scale_residual(ctx.ast, sp.domain, X, _PKM_LAMBDA)
+def _chk_pkm_scale(s):
+    sp = s.sphere
+    (X, _), = s.tangent_pairs(1, salt=109)
+    return proj.pkm_scale_residual(s.ast, sp.domain, X, _PKM_LAMBDA)
 
 
-def _chk_pkm_gram(ctx, idx, z):
-    sp = ctx.sphere(idx)
+def _chk_pkm_gram(s):
+    sp = s.sphere
     det = proj.horizontal_gram_determinant(sp.domain, sp.frame)
     return _GRAM_FLOOR / det if det > 0 else float("inf")
 
 
-def _chk_fs_closed_form(ctx, idx, z):
-    sp = ctx.sphere(idx)
-    rng = ctx.rng(110, idx)
+def _chk_fs_closed_form(s):
+    sp = s.sphere
+    rng = s.rng(110)
     worst = 0.0
     for _ in range(2):
-        X = rng.standard_normal(2 * ctx.config.n_vars)
+        X = rng.standard_normal(2 * s.ast.n_vars)
         worst = max_or_nan(worst, proj.fubini_study_compare(sp.u, X))
-    ctx.fitted["fs_metric_scale"] = proj.fs_fitted_constant()
+    s.ctx.fitted["fs_metric_scale"] = proj.fs_fitted_constant()
     return worst
 
 
@@ -466,47 +448,47 @@ def _agg_sigma_xq(ctx):
 
 # ---------------------------------------------------------------------------
 # Stencils: the chart points a per-sample check differentiates across,
-# handed over before its sample's checks run (see _Context.hand_over)
+# handed over before its sample's checks run (see _Sample.hand_over)
 # ---------------------------------------------------------------------------
 
 
-def _st_hessian_fd(ctx, idx):
-    chart = ctx.chart(idx)
+def _st_hessian_fd(s):
+    chart = s.chart
     return chart, chart.hessian_points(chart.base.flat)
 
 
-def _st_axis(ctx, idx):
-    chart = ctx.chart(idx)
+def _st_axis(s):
+    chart = s.chart
     return chart, chart.axis_points(chart.base.flat)
 
 
 def _st_directions(pairs):
     """The stencil at u along the first vector of each tangent pair a check draws with ``pairs``."""
-    def stencil(ctx, idx):
-        sp = ctx.sphere(idx)
-        return sp.chart, [w for X, _ in ctx.tangent_pairs(idx, *pairs) for w in cone_mod.direction_points(sp, X)]
+    def stencil(s):
+        sp = s.sphere
+        return sp.chart, [w for X, _ in s.tangent_pairs(*pairs) for w in cone_mod.direction_points(sp, X)]
     return stencil
 
 
 def _st_scaled(pairs):
     """The stencil at r·u along r X, for the first vector X of the tangent pair a check draws with ``pairs``."""
-    def stencil(ctx, idx):
-        sp = ctx.sphere(idx)
-        (X, _), = ctx.tangent_pairs(idx, *pairs)
+    def stencil(s):
+        sp = s.sphere
+        (X, _), = s.tangent_pairs(*pairs)
         return sp.scaled_chart(_WARPED_R), cone_mod.warped_points(sp, _WARPED_R, X)
     return stencil
 
 
-def _st_mean_curvature(ctx, idx):
-    sp = ctx.sphere(idx)
+def _st_mean_curvature(s):
+    sp = s.sphere
     return sp.chart, [w for T in sp.frame for w in cone_mod.direction_points(sp, T)]
 
 
 def _st_sasaki(points):
     """The stencil at u of ``points`` (:func:`cone.sasaki_gamma_points` or ``sasaki_direction_points``)."""
-    def stencil(ctx, idx):
-        sp = ctx.sphere(idx)
-        return sp.chart, points(sp, ctx.tangent_pairs(idx, 2))
+    def stencil(s):
+        sp = s.sphere
+        return sp.chart, points(sp, s.tangent_pairs(2))
     return stencil
 
 
@@ -602,25 +584,25 @@ class _Check:
     runner: object
     applicable: object = _always
     cap: int | None = None  # per-sample checks run on at most this many samples
-    stencils: tuple = ()    # each (ctx, idx) -> (chart, points): what the check differentiates across
+    stencils: tuple = ()    # each (sample) -> (chart, points): what the check differentiates across
 
 
 _REGISTRY = {
-    "expr.homogeneity.scale": _Check("domain", "analytic", lambda c, i, z: c.homogeneity(i).scale_residual),
-    "expr.homogeneity.euler": _Check("domain", "analytic", lambda c, i, z: c.homogeneity(i).euler_residual),
-    "expr.ad_vs_fd": _Check("domain", 1e-6, _chk_ad_fd, cap=50),
-    "lemma1.h_xi_dbar_k": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r1"]),
-    "lemma1.g_xi_dk": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r2"]),
-    "lemma1.g_xi_xi": _Check("domain", "analytic", lambda c, i, z: c.lemma1(i)["r3"]),
+    "expr.homogeneity.scale": _Check("domain", "analytic", lambda s: s.homogeneity.scale_residual),
+    "expr.homogeneity.euler": _Check("domain", "analytic", lambda s: s.homogeneity.euler_residual),
+    "expr.ad_vs_fd": _Check("domain", 1e-6, lambda s: jet_fd_residual(s.ast, s.z), cap=50),
+    "lemma1.h_xi_dbar_k": _Check("domain", "analytic", lambda s: s.lemma1["r1"]),
+    "lemma1.g_xi_dk": _Check("domain", "analytic", lambda s: s.lemma1["r2"]),
+    "lemma1.g_xi_xi": _Check("domain", "analytic", lambda s: s.lemma1["r3"]),
     "cor.npotential.flat_hessian": _Check("domain", 1e-8, _chk_npotential),
     "oracle.flat_hessian_fd": _Check("domain", 1e-5, _chk_hessian_oracle, cap=50, stencils=(_st_hessian_fd,)),
-    "prop.xi.flat_position": _Check("domain", 1e-10, lambda c, i, z: geo.xi_flat_residual(c.chart(i))),
-    "cone.metric_scaling": _Check("domain", 1e-10, lambda c, i, z: geo.metric_scaling_residual(c.chart(i))),
-    "flat.omega_parallel": _Check("domain", 1e-6, lambda c, i, z: geo.omega_parallel_residual(c.chart(i)),
+    "prop.xi.flat_position": _Check("domain", 1e-10, lambda s: geo.xi_flat_residual(s.chart)),
+    "cone.metric_scaling": _Check("domain", 1e-10, lambda s: geo.metric_scaling_residual(s.chart)),
+    "flat.omega_parallel": _Check("domain", 1e-6, lambda s: geo.omega_parallel_residual(s.chart),
                                   stencils=(_st_axis,)),
-    "eq.special.dnabla_j": _Check("domain", "chart_fd", lambda c, i, z: geo.dnabla_J_residual(c.chart(i)),
+    "eq.special.dnabla_j": _Check("domain", "chart_fd", lambda s: geo.dnabla_J_residual(s.chart),
                                   stencils=(_st_axis,)),
-    "contact.d_eta": _Check("domain", "chart_fd", lambda c, i, z: geo.d_eta_residual(c.chart(i)), stencils=(_st_axis,)),
+    "contact.d_eta": _Check("domain", "chart_fd", lambda s: geo.d_eta_residual(s.chart), stencils=(_st_axis,)),
     "eq.ma.spread": _Check("aggregate", 1e-6, _agg_ma_spread),
     "sphere.on_level": _Check("sphere", 1e-10, _chk_sphere_level, _if_spheres),
     "sphere.frame_tangency": _Check("sphere", 1e-10, _chk_frame_tangency, _if_spheres),
@@ -629,24 +611,26 @@ _REGISTRY = {
                                      stencils=(_st_directions(_GAUSS_PAIRS),)),
     "thm.affinesphere.shape": _Check("sphere", 1e-6, _chk_shape, _if_spheres,
                                      stencils=(_st_directions(_SHAPE_PAIRS),)),
-    "thm.affinesphere.mean_curvature": _Check("sphere", 1e-6, _chk_mean_curvature, _if_spheres,
-                                              stencils=(_st_mean_curvature,)),
-    "thm.affinesphere.volume": _Check("sphere", 1e-5, _chk_volume, _if_spheres),
-    "sasaki.killing": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).killing, _if_spheres,
+    "thm.affinesphere.mean_curvature": _Check("sphere", 1e-6, lambda s: cone_mod.mean_curvature_residual(s.sphere),
+                                              _if_spheres, stencils=(_st_mean_curvature,)),
+    "thm.affinesphere.volume": _Check("sphere", 1e-5, lambda s: cone_mod.blaschke_volume_residual(s.sphere),
+                                      _if_spheres),
+    "sasaki.killing": _Check("sphere", 1e-4, lambda s: s.sasaki.killing, _if_spheres,
                              stencils=_SASAKI_STENCILS),
-    "sasaki.structure": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).structure, _if_spheres,
+    "sasaki.structure": _Check("sphere", 1e-4, lambda s: s.sasaki.structure, _if_spheres,
                                stencils=_SASAKI_STENCILS),
-    "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).affine, _if_spheres,
+    "prop.asc.affine_sasaki": _Check("sphere", 1e-4, lambda s: s.sasaki.affine, _if_spheres,
                                      stencils=_SASAKI_STENCILS),
-    "sasaki.contact": _Check("sphere", 1e-4, lambda c, i, z: c.sasaki(i).contact, _if_spheres,
+    "sasaki.contact": _Check("sphere", 1e-4, lambda s: s.sasaki.contact, _if_spheres,
                              stencils=_SASAKI_STENCILS),
-    "remark2.hamiltonian": _Check("sphere", 1e-5, _chk_hamiltonian, _if_spheres),
+    "remark2.hamiltonian": _Check("sphere", 1e-5, lambda s: cone_mod.hamiltonian_field_residual(s.sphere.domain),
+                                  _if_spheres),
     "eq.wpr.radial": _Check("sphere", 1e-6, _chk_warped_radial, _if_spheres,
                             stencils=(_st_directions(_RADIAL_PAIRS), _st_scaled(_RADIAL_PAIRS))),
     "eq.wpr.position": _Check("sphere", 1e-6, _chk_warped_position, _if_spheres,
                               stencils=(_st_scaled(_POSITION_PAIRS),)),
     "prop.hyperspheres.submersion": _Check("sphere", 1e-5, _chk_submersion, _if_spheres),
-    "eq.pkm.vertical": _Check("sphere", 1e-10, _chk_pkm_vertical, _if_spheres),
+    "eq.pkm.vertical": _Check("sphere", 1e-10, lambda s: proj.pkm_vertical_residual(s.sphere.domain), _if_spheres),
     "eq.pkm.pullback": _Check("sphere", 1e-8, _chk_pkm_pullback, _if_spheres),
     "eq.pkm.scale_invariance": _Check("sphere", 1e-9, _chk_pkm_scale, _if_spheres),
     "eq.pkm.horizontal_gram": _Check("sphere", 1.0, _chk_pkm_gram, _if_spheres),
@@ -674,10 +658,6 @@ def _tolerance_of(spec, profile: ToleranceProfile) -> float:
     if isinstance(spec, str):
         return getattr(profile, spec)
     return float(spec)
-
-
-def _point_info(idx: int, z) -> dict:
-    return {"sample": idx, "z": [[float(c.real), float(c.imag)] for c in np.asarray(z)]}
 
 
 # ---------------------------------------------------------------------------
@@ -712,17 +692,37 @@ def _result(cid: str, tol: float, point: dict, run) -> CheckResult:
         info, residual = run()
         residual = float(residual)
     except _CHECK_ERRORS as exc:
-        return CheckResult(cid, {**point, "error": f"{type(exc).__name__}: {exc}"}, None, tol, False)
+        error = f"{type(exc).__name__}: {exc}"
+        # A memoised outcome may be this error: its traceback holds the
+        # runner's frames, and with them the _Sample, which must not outlive its checks.
+        exc.__traceback__ = None
+        return CheckResult(cid, {**point, "error": error}, None, tol, False)
     return CheckResult(cid, {**point, **info}, residual, tol, residual <= tol)
+
+
+def _run_sample(ctx: _Context, idx: int, due) -> list:
+    """The results at sample idx of the per-sample checks ``due``, as (cid, check, tol), run on one _Sample.
+
+    The chart points their stencils differentiate across are handed over
+    first, as one Newton stack across the sample's charts.  The sample, with
+    its sphere and charts, is freed when this returns; the aggregates read
+    its flat Hessian and the DomainSample at u, which stay with ctx.
+    """
+    sample = _Sample(ctx, idx)
+    sample.hand_over([stencil for _, check, _ in due for stencil in check.stencils])
+    point = {"sample": idx, "z": [[float(c.real), float(c.imag)] for c in np.asarray(sample.z)]}
+    results = [_result(cid, tol, point, lambda: ({}, check.runner(sample))) for cid, check, tol in due]
+    if "sphere" in vars(sample):
+        ctx.sphere_domains[idx] = sample.sphere.domain
+    return results
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Execute the selected checks, never aborting on individual errors.
 
-    The per-sample checks run sample by sample: the chart points their
-    stencils differentiate across are handed over first, as one Newton
-    stack across the sample's charts, and a sample's spheres and charts are
-    dropped once its checks are done.  The aggregate and global checks run after.
+    The per-sample checks run sample by sample, each sample on its own
+    :class:`_Sample` (see :func:`_run_sample`).  The aggregate and global
+    checks run after.
     """
     ctx = _Context(config)
     selected = CHECK_IDS if config.checks is None else config.checks
@@ -737,13 +737,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                                            None, tol, False))
         else:
             (per_sample if check.kind in ("domain", "sphere") else whole).append((cid, check, tol))
-    for idx, z in enumerate(ctx.samples):
-        point = _point_info(idx, z)
-        due = [(cid, check, tol) for cid, check, tol in per_sample if check.cap is None or idx < check.cap]
-        ctx.hand_over(idx, [stencil for _, check, _ in due for stencil in check.stencils])
-        for cid, check, tol in due:
-            results.append(_result(cid, tol, point, lambda: ({}, check.runner(ctx, idx, z))))
-        ctx.release(idx)
+    for idx in range(len(ctx.samples)):
+        results += _run_sample(ctx, idx, [(cid, check, tol) for cid, check, tol in per_sample
+                                          if check.cap is None or idx < check.cap])
     for cid, check, tol in whole:
         results.append(_result(cid, tol, {}, lambda: check.runner(ctx)))
 

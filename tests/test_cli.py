@@ -213,9 +213,18 @@ def test_verify_inline_to_stdout(capsys):
     assert report["meta"]["conventions"]["h"] == "g - 2i*omega"
 
 
-def test_verify_bad_config_exit_2(tmp_path, capsys):
+_GOOD = {"prepotential": "i*(z0^2 + z1^2)", "n_vars": 2, "base_point": [[1, 0], [0.5, 0]]}
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param({"prepotential": "z0^^1", "n_vars": 1, "base_point": [[1, 0]]}, id="bad_prepotential"),
+    pytest.param({**_GOOD, "tolerances": {"chartfd": 1e-5}}, id="unknown_tolerance"),
+    pytest.param({**_GOOD, "base_point": [1, 2, 3, 4]}, id="base_point_not_pairs"),
+    pytest.param({**_GOOD, "checks": 5}, id="checks_not_a_list"),
+])
+def test_verify_bad_config_exit_2(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"prepotential": "z0^^1", "n_vars": 1, "base_point": [[1, 0]]}))
+    path.write_text(json.dumps(body))
     code, _, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
 

@@ -238,10 +238,6 @@ def test_affine_sasaki_matches_dnabla_j(stu_spheres, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_hamiltonian_sign_is_fitted_constant():
-    assert cone.fit_hamiltonian_sign() == cone.HAMILTONIAN_SIGN == 1.0
-
-
 def test_hamiltonian_fs(fs_sphere):
     sp = fs_sphere
     assert cone.hamiltonian_field_residual(sp.domain) < 1e-8

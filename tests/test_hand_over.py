@@ -181,21 +181,21 @@ _STU_SUITE = verify.SuiteConfig(prepotential="z1*z2*z3/z0", n_vars=4, seed=7, sa
 
 
 def test_a_hand_over_never_raises_and_inverts_the_other_stencils(newton_rows):
-    ctx = verify._Context(_STU_SUITE)
+    sample = verify._Sample(verify._Context(_STU_SUITE), 0)
 
-    def failing(ctx, idx):
+    def failing(sample):
         raise DegenerateMetric("injected")
 
-    ctx.hand_over(0, [failing, verify._st_axis, verify._st_axis])
+    sample.hand_over([failing, verify._st_axis, verify._st_axis])
     assert newton_rows == [16]
-    geo.dnabla_J_residual(ctx.chart(0))
+    geo.dnabla_J_residual(sample.chart)
     assert newton_rows == [16]
 
 
 def test_a_row_that_fails_in_a_hand_over_fails_its_check_as_without_one(monkeypatch):
     """The failed row is not memoised, so its check inverts it again and raises the same error."""
-    ctx = verify._Context(_STU_SUITE)
-    _, (poisoned, _, _, _) = verify._st_directions(verify._GAUSS_PAIRS)(ctx, 0)
+    sample = verify._Sample(verify._Context(_STU_SUITE), 0)
+    _, (poisoned, _, _, _) = verify._st_directions(verify._GAUSS_PAIRS)(sample)
     real = geo._newton
 
     def newton(ast, targets, *args, **kwargs):
@@ -207,7 +207,7 @@ def test_a_row_that_fails_in_a_hand_over_fails_its_check_as_without_one(monkeypa
     config = dataclasses.replace(_STU_SUITE, checks=("thm.affinesphere.gauss", "thm.affinesphere.shape",
                                                      "sasaki.killing", "eq.wpr.radial"))
     handed = verify.run_suite(config)
-    monkeypatch.setattr(verify._Context, "hand_over", lambda ctx, idx, stencils: None)
+    monkeypatch.setattr(verify._Sample, "hand_over", lambda sample, stencils: None)
     assert verify.run_suite(config).to_json() == handed.to_json()
     gauss = next(r for r in handed.checks if r.id == "thm.affinesphere.gauss")
     assert gauss.point["sample"] == 0 and gauss.point["error"] == "NoConvergence: injected"

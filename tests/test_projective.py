@@ -186,7 +186,6 @@ def test_fs_prepotential_is_parsed_once(monkeypatch):
     u = np.array([0.9 + 0.2j, 0.3 - 0.4j, 0.1 + 0.2j])
     for X in np.eye(6)[:3]:
         assert proj.fubini_study_compare(u, X) < 1e-12
-    cone.fit_hamiltonian_sign(3)
     assert parses == [("i*(z0^2 + z1^2 + z2^2)", 3)]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import weakref
 from collections import Counter
@@ -478,7 +479,7 @@ def test_the_homogeneity_checks_share_one_call_per_sample(monkeypatch):
 
 
 def test_summary_max_residual_keeps_a_later_nan(monkeypatch):
-    runner = lambda ctx, idx, z: float("nan") if idx == 1 else 0.0  # noqa: E731
+    runner = lambda sample: float("nan") if sample.idx == 1 else 0.0  # noqa: E731
     check = dataclasses.replace(verify._REGISTRY["lemma1.g_xi_xi"], runner=runner)
     monkeypatch.setitem(verify._REGISTRY, "lemma1.g_xi_xi", check)
     report = verify.run_suite(small_config(sample_count=3, checks=("lemma1.g_xi_xi",)))
@@ -558,7 +559,7 @@ def stu_run():
     """The 2-sample STU suite, traced.
 
     ``seeds``: the seed of every FlatChart built; ``alive``: the charts alive
-    after each release; ``rows``: the rows of every Newton call; after
+    after each sample's checks; ``rows``: the rows of every Newton call; after
     sampling, ``fresh``: the points of the domain_sample calls that evaluate
     a jet of their own, and ``points``: every sample point z and sphere point u;
     ``calls``, ``ok`` and ``built``: the domain_sample calls, those that
@@ -568,7 +569,7 @@ def stu_run():
     run = SimpleNamespace(seeds=[], alive=[], rows=[], fresh=[], points=[], calls=0, ok=0, built=0, rngs=[])
     charts = weakref.WeakSet()
     sampled = []
-    real_init, real_release, real_rng = geo.FlatChart.__init__, verify._Context.release, verify._Context.rng
+    real_init, real_run_sample, real_rng = geo.FlatChart.__init__, verify._run_sample, verify._Context.rng
     real_newton, real_sample, real_domain = geo._newton, geo.domain_sample, geo.DomainSample
     real_points, real_project = verify.sample_points, cone.project_to_sphere
 
@@ -577,9 +578,10 @@ def stu_run():
         run.seeds.append(np.asarray(seed_z, dtype=complex).tobytes())
         charts.add(chart)
 
-    def release(ctx, idx):
-        real_release(ctx, idx)
+    def run_sample(*args):
+        results = real_run_sample(*args)
         run.alive.append(len(charts))
+        return results
 
     def rng(ctx, salt, idx=0):
         run.rngs.append((salt, idx))
@@ -614,7 +616,7 @@ def stu_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo.FlatChart, "__init__", init)
-        mp.setattr(verify._Context, "release", release)
+        mp.setattr(verify, "_run_sample", run_sample)
         mp.setattr(verify._Context, "rng", rng)
         mp.setattr(geo, "_newton", newton)
         for module in (geo, cone, verify.proj):
@@ -634,6 +636,43 @@ def test_a_suite_builds_at_most_three_charts_per_sample(stu_run):
 
 def test_no_chart_outlives_its_sample(stu_run):
     assert stu_run.seeds and stu_run.alive == [0] * STU_CONFIG.sample_count
+
+
+@pytest.mark.parametrize("module, name, ids", [
+    (geo, "flat_hessian_of_k", ("cor.npotential.flat_hessian", "oracle.flat_hessian_fd")),
+    (verify, "check_homogeneity", ("expr.homogeneity.euler", "expr.homogeneity.scale")),
+], ids=["flat_hessian_of_k", "check_homogeneity"])
+def test_no_chart_outlives_a_sample_whose_shared_computation_failed(monkeypatch, module, name, ids):
+    """A failed flat Hessian, which the suite keeps for eq.ma.spread, or homogeneity report frees its sample.
+
+    With gc disabled, so that a reference from the error's traceback, or a cycle through it, would show.
+    """
+    charts, alive = weakref.WeakSet(), []
+    real_init, real_run_sample = geo.FlatChart.__init__, verify._run_sample
+
+    def init(chart, ast, seed_z):
+        real_init(chart, ast, seed_z)
+        charts.add(chart)
+
+    def run_sample(*args):
+        results = real_run_sample(*args)
+        alive.append(len(charts))
+        return results
+
+    def failing(*args):
+        raise DegenerateMetric("injected")
+
+    monkeypatch.setattr(geo.FlatChart, "__init__", init)
+    monkeypatch.setattr(verify, "_run_sample", run_sample)
+    monkeypatch.setattr(module, name, failing)
+    gc.disable()
+    try:
+        report = verify.run_suite(dataclasses.replace(STU_CONFIG, sample_count=3))
+    finally:
+        gc.enable()
+    failed = {r.id for r in report.checks if r.point.get("error") == "DegenerateMetric: injected"}
+    assert failed == set(ids)
+    assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("cid", _CHART_SHARING)
@@ -661,12 +700,12 @@ def test_a_suite_draws_each_tangent_pair_set_once_per_sample(stu_run):
 
 def test_hessian_stencil_rows_derive_nothing_beyond_k():
     """The FD-Hessian oracle reads k alone: its stencil's view of the hand-over derives no field."""
-    ctx = verify._Context(dataclasses.replace(STU_CONFIG, sample_count=1))
+    sample = verify._Sample(verify._Context(dataclasses.replace(STU_CONFIG, sample_count=1)), 0)
     due = [check for check in verify._REGISTRY.values() if check.kind in ("domain", "sphere")]
-    ctx.hand_over(0, [stencil for check in due for stencil in check.stencils])
+    sample.hand_over([stencil for check in due for stencil in check.stencils])
     for check in due:
-        check.runner(ctx, 0, ctx.samples[0])
-    chart = ctx.chart(0)
+        check.runner(sample)
+    chart = sample.chart
     views = {id(chart.point(w)[0]): chart.point(w)[0] for w in chart.hessian_points(chart.base.flat)}
     (view,) = views.values()
     assert len(view.z) == 129
