@@ -193,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point_help):
+    def common(p, point_help, point_required=False):
         p.add_argument("--expr", help="prepotential expression")
         p.add_argument("--nvars", type=int, default=0, help="number of complex variables")
-        p.add_argument("--point", help=point_help)
+        p.add_argument("--point", required=point_required, help=point_help)
         p.add_argument("--seed", type=int, default=1)
 
     p_parse = sub.add_parser("parse", help="parse and echo the normalized AST")
@@ -212,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_sphere = sub.add_parser("sphere", help="print sphere sample data at a point")
-    common(p_sphere, "point to project onto S, comma-separated complex numbers")
+    common(p_sphere, "point to project onto S, comma-separated complex numbers", point_required=True)
     p_sphere.set_defaults(fn=_cmd_sphere)
 
     p_proj = sub.add_parser("projective", help="print projective metric values")
-    common(p_proj, "point of the conic domain")
+    common(p_proj, "point of the conic domain", point_required=True)
     p_proj.set_defaults(fn=_cmd_projective)
 
     p_quartic = sub.add_parser("quartic", help="evaluate a quartic invariant")

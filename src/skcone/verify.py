@@ -12,6 +12,7 @@ results are sorted before emission.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -37,6 +38,14 @@ _PKM_LAMBDA = 1.3 * np.exp(0.9j)
 _GRAM_FLOOR = 1e-8
 
 
+def _number(value, kinds=(int, float)) -> bool:
+    """Whether value is a finite number of one of ``kinds`` and not a bool."""
+    try:
+        return isinstance(value, kinds) and not isinstance(value, bool) and cmath.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
     analytic: float = 1e-9
@@ -44,10 +53,12 @@ class ToleranceProfile:
     invariance: float = 1e-7
 
     def __post_init__(self):
-        if not (self.analytic > 0 and self.chart_fd > 0 and self.invariance > 0):
-            raise ValueError("tolerances must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (_number(value) and value > 0):
+                raise ValueError(f"tolerances.{f.name} must be a finite real > 0, got {value!r}")
         if self.analytic > self.chart_fd:
-            raise ValueError("analytic tolerance must not exceed chart_fd")
+            raise ValueError("tolerances.analytic must not exceed tolerances.chart_fd")
 
 
 @dataclass(frozen=True)
@@ -81,53 +92,55 @@ class SuiteConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        """The one check of every field's type and range; a ValueError names the first bad key."""
+        n, base, checks = self.n_vars, self.base_point, self.checks
+        for key, what, valid in (
+            ("prepotential", "a str", isinstance(self.prepotential, str)),
+            ("n_vars", "an int >= 1", _number(n, int) and n >= 1),
+            ("seed", "an int in [0, 2**64)", _number(self.seed, int) and 0 <= self.seed < 2**64),
+            ("sample_count", "an int >= 1", _number(self.sample_count, int) and self.sample_count >= 1),
+            ("base_point", "a tuple of n_vars finite complex numbers",
+             isinstance(base, tuple) and len(base) == n and all(_number(c, (int, float, complex)) for c in base)),
+            ("sample_radius", "a finite real > 0", _number(self.sample_radius) and self.sample_radius > 0),
+            ("checks", "None or a tuple of distinct known check ids", checks is None or (
+                isinstance(checks, tuple) and all(c in CHECK_IDS for c in checks) and len(set(checks)) == len(checks))),
+            ("tolerances", "a ToleranceProfile", isinstance(self.tolerances, ToleranceProfile)),
+            ("output_path", "None or a str", self.output_path is None or isinstance(self.output_path, str)),
+        ):
+            if not valid:
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
+
+
+def _pair(pair) -> complex:
+    """A JSON [re, im] pair as a complex number."""
+    re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a bool is not a number")
+    return complex(re, im)
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
-    """Build a SuiteConfig from parsed JSON, with exact key names."""
-    known = {
-        "prepotential", "n_vars", "seed", "sample_count", "base_point",
-        "sample_radius", "checks", "tolerances", "output_path",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    """Build a SuiteConfig from parsed JSON: exact key names, [re, im] pairs and a tolerance object.
+
+    It only maps JSON to fields; SuiteConfig checks every value.
+    """
+    if not isinstance(data, dict) or not isinstance(data.get("tolerances", {}), dict):
+        raise ValueError("a config and its tolerances must be JSON objects")
+    tol = data.get("tolerances", {})
+    for name, given, cls in (("config", data, SuiteConfig), ("tolerances", tol, ToleranceProfile)):
+        unknown = set(given) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{name} has unknown keys: {sorted(unknown)}")
     for key in ("prepotential", "n_vars", "base_point"):
         if key not in data:
             raise ValueError(f"config is missing required key {key!r}")
-    tol = data.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ValueError("tolerances must be an object")
-    unknown = set(tol) - {f.name for f in fields(ToleranceProfile)}
-    if unknown:
-        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
     try:
-        base = tuple(complex(re, im) for re, im in data["base_point"])
-    except (TypeError, ValueError):
-        raise ValueError("base_point must be a list of [re, im] pairs") from None
+        base = tuple(map(_pair, data["base_point"]))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("base_point must be a list of [re, im] number pairs") from None
     checks = data.get("checks")
-    if checks is not None:
-        if not isinstance(checks, (list, tuple)):
-            raise ValueError("checks must be a list of check ids")
-        checks = tuple(checks)
-        for cid in checks:
-            if cid not in _REGISTRY:
-                raise ValueError(f"unknown check id {cid!r}")
-    return SuiteConfig(
-        prepotential=data["prepotential"],
-        n_vars=int(data["n_vars"]),
-        seed=int(data.get("seed", 1)),
-        sample_count=int(data.get("sample_count", 64)),
-        base_point=base,
-        sample_radius=float(data.get("sample_radius", 0.2)),
-        checks=checks,
-        tolerances=ToleranceProfile(**tol),
-        output_path=data.get("output_path"),
-    )
+    return SuiteConfig(**{**data, "base_point": base, "checks": tuple(checks) if isinstance(checks, list) else checks,
+                          "tolerances": ToleranceProfile(**tol)})
 
 
 def load_config(path: str) -> SuiteConfig:
@@ -153,8 +166,6 @@ def sample_points(config: SuiteConfig, ast=None, budget_factor: int = 100) -> li
     if ast is None:
         ast = parse_prepotential(config.prepotential, config.n_vars)
     base = np.asarray(config.base_point, dtype=complex)
-    if base.shape != (config.n_vars,):
-        raise ValueError("base_point length must equal n_vars")
     if not _admissible(ast, base):
         raise InadmissiblePoint("base_point is not admissible")
     rng = np.random.default_rng(config.seed)
@@ -192,12 +203,16 @@ class _Context:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.ast = parse_prepotential(config.prepotential, config.n_vars)
-        self.samples = sample_points(config, self.ast)
         self.signature = hom.quadratic_signature(self.ast)
         self.fitted: dict = {}
         self.sphere_domains: dict = {}   # idx -> the DomainSample at the sphere point u, for sec5.remark2.sigma_xq
         self._hessians: dict = {}
         self._q_report = None
+
+    @cached_property
+    def samples(self) -> list:
+        """The suite's sample points, drawn on first use (see :func:`run_suite`)."""
+        return sample_points(self.config, self.ast)
 
     def rng(self, salt: int, idx: int = 0):
         return np.random.default_rng([self.config.seed, salt, idx])
@@ -722,7 +737,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     The per-sample checks run sample by sample, each sample on its own
     :class:`_Sample` (see :func:`_run_sample`).  The aggregate and global
-    checks run after.
+    checks run after.  Samples are drawn, before any check runs, only when
+    a per-sample or aggregate check is due, so a sampling error aborts the
+    suite and a suite of global checks draws none.
     """
     ctx = _Context(config)
     selected = CHECK_IDS if config.checks is None else config.checks
@@ -737,7 +754,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                                            None, tol, False))
         else:
             (per_sample if check.kind in ("domain", "sphere") else whole).append((cid, check, tol))
-    for idx in range(len(ctx.samples)):
+    drawn = ctx.samples if per_sample or any(check.kind == "aggregate" for _, check, _ in whole) else ()
+    for idx in range(len(drawn)):
         results += _run_sample(ctx, idx, [(cid, check, tol) for cid, check, tol in per_sample
                                           if check.cap is None or idx < check.cap])
     for cid, check, tol in whole:
@@ -761,7 +779,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "n_vars": config.n_vars,
         "seed": config.seed,
         "sample_count": config.sample_count,
-        "sample_radius": config.sample_radius,
+        "sample_radius": float(config.sample_radius),
         "base_point": [[float(c.real), float(c.imag)] for c in np.asarray(config.base_point, dtype=complex)],
         "conventions": {
             "h": "g - 2i*omega",

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skcone import cli
 from skcone import geometry as geo
@@ -216,17 +221,33 @@ def test_verify_inline_to_stdout(capsys):
 _GOOD = {"prepotential": "i*(z0^2 + z1^2)", "n_vars": 2, "base_point": [[1, 0], [0.5, 0]]}
 
 
-@pytest.mark.parametrize("body", [
-    pytest.param({"prepotential": "z0^^1", "n_vars": 1, "base_point": [[1, 0]]}, id="bad_prepotential"),
-    pytest.param({**_GOOD, "tolerances": {"chartfd": 1e-5}}, id="unknown_tolerance"),
-    pytest.param({**_GOOD, "base_point": [1, 2, 3, 4]}, id="base_point_not_pairs"),
-    pytest.param({**_GOOD, "checks": 5}, id="checks_not_a_list"),
+@pytest.mark.parametrize("body, key", [
+    pytest.param({"prepotential": "z0^^1", "n_vars": 1, "base_point": [[1, 0]]}, "", id="bad_prepotential"),
+    pytest.param({**_GOOD, "tolerances": {"chartfd": 1e-5}}, "tolerances", id="unknown_tolerance"),
+    pytest.param({**_GOOD, "base_point": [1, 2, 3, 4]}, "base_point", id="base_point_not_pairs"),
+    pytest.param({**_GOOD, "checks": 5}, "checks", id="checks_not_a_list"),
+    pytest.param({**_GOOD, "n_vars": [2]}, "n_vars", id="n_vars_a_list"),
+    pytest.param({**_GOOD, "n_vars": 2.5}, "n_vars", id="n_vars_a_float"),
+    pytest.param({**_GOOD, "seed": [2]}, "seed", id="seed_a_list"),
+    pytest.param({**_GOOD, "seed": True}, "seed", id="seed_a_bool"),
+    pytest.param({**_GOOD, "sample_count": [["x"]]}, "sample_count", id="sample_count_nested"),
+    pytest.param({**_GOOD, "sample_radius": None}, "sample_radius", id="sample_radius_null"),
+    pytest.param({**_GOOD, "sample_radius": 0}, "sample_radius", id="sample_radius_zero"),
+    pytest.param({**_GOOD, "checks": [["x"]]}, "checks", id="checks_nested"),
+    pytest.param({**_GOOD, "checks": ["eq.ma.spread", "eq.ma.spread"]}, "checks", id="checks_repeated"),
+    pytest.param({**_GOOD, "prepotential": 5}, "prepotential", id="prepotential_a_number"),
+    pytest.param({**_GOOD, "tolerances": {"analytic": {}}}, "tolerances.analytic", id="tolerance_an_object"),
+    pytest.param({**_GOOD, "tolerances": {"chart_fd": 1e400}}, "tolerances.chart_fd", id="tolerance_infinite"),
+    pytest.param({**_GOOD, "base_point": [[float("nan"), 0], [0.5, 0]]}, "base_point", id="base_point_nan"),
+    pytest.param({**_GOOD, "output_path": 2}, "output_path", id="output_path_an_int"),
+    pytest.param([_GOOD], "", id="not_an_object"),
 ])
-def test_verify_bad_config_exit_2(tmp_path, capsys, body):
+def test_verify_bad_config_exit_2(tmp_path, capsys, body, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(body))
-    code, _, err = run_cli(capsys, "verify", "--config", str(path))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
+    assert out == "" and "error: " + key in err
 
 
 def test_verify_missing_args_exit_2(capsys):
@@ -242,7 +263,7 @@ def test_verify_failing_check_exit_1(tmp_path, capsys):
         "n_vars": 4,
         "sample_count": 1,
         "base_point": [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
-        "sample_radius": 0.0,
+        "sample_radius": 0.15,
         "checks": ["fs.closed_form"],
     }
     path = tmp_path / "cfg.json"
@@ -282,7 +303,7 @@ def test_import_builds_no_cached_table():
 # one parser per process
 # ---------------------------------------------------------------------------
 
-# An argparse error, help, valid queries and a command error, in one sequence.
+# Argparse errors, help, valid queries and a command error, in one sequence.
 MIXED_ARGV = [
     ["sphere", "--bogus"],
     ["--help"],
@@ -295,6 +316,8 @@ MIXED_ARGV = [
     ["sphere", "--expr", "i*2", "--point", "1"],
     [],
     ["quartic", "--case", "A", "--coeffs", "1,2,3,4"],
+    ["sphere", "--expr", "z1*z2*z3/z0"],
+    ["projective", "--expr", "i*(z0^2 + z1^2)"],
 ]
 
 
@@ -317,7 +340,7 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
-    assert codes == [2, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0] * 2
+    assert codes == [2, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0, 2, 2] * 2
     assert real() is not real()
 
 
@@ -327,6 +350,7 @@ def test_warm_parser_gives_the_bytes_of_a_fresh_one(monkeypatch, capsys):
     fresh = _run_all(capsys, MIXED_ARGV)
     assert warm == fresh
     assert warm[1][1].startswith("usage: skcone") and "invalid choice" in warm[4][2]
+    assert all("error: the following arguments are required: --point" in err for _, _, err in warm[-2:])
 
 
 def test_inferred_nvars_parses_the_expression_once(monkeypatch, capsys):
@@ -342,3 +366,87 @@ def test_inferred_nvars_parses_the_expression_once(monkeypatch, capsys):
     assert code == 0 and parses == [4096]
     code, _, _ = run_cli(capsys, "sphere", "--expr", "z1*z2*z3/z0", "--nvars", "4", "--point", "1,i,i,i")
     assert code == 0 and parses == [4096, 4]
+
+
+# ---------------------------------------------------------------------------
+# no input crashes the CLI: every exit code is 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# Bounded values only: a huge sample_count or power is slow, not a crash.
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+    st.sampled_from([2.5, 0.0, -1.0, math.nan, math.inf, -math.inf, [], {}, [1], {"a": 1}, [[0, 1]]]),
+)
+_FS_BODY = {**json.loads((Path(__file__).resolve().parents[1] / "configs" / "fs.json").read_text()),
+            "sample_count": 1, "checks": ["lemma1.g_xi_xi", "sphere.on_level", "eq.ma.spread", "sec5.G.homogeneity"]}
+
+
+def _paths(body):
+    """Every place in a config body a value can be swapped: top-level keys and the items of its lists and objects."""
+    out = []
+    for key, value in body.items():
+        out.append((key,))
+        items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+        for sub, item in items:
+            out.append((key, sub))
+            if isinstance(item, list):
+                out.extend((key, sub, i) for i in range(len(item)))
+    return out
+
+
+def _mutate(body, data):
+    op = data.draw(st.sampled_from(["delete", "extra", "swap", "nest"]))
+    paths = _paths(body)
+    if op == "extra" or not paths:
+        body["bogus"] = data.draw(_VALUES)
+        return
+    *parents, last = data.draw(st.sampled_from(paths))
+    holder = body
+    for step in parents:
+        holder = holder[step]
+    if op == "delete":
+        del holder[last]
+    elif op == "swap":
+        holder[last] = data.draw(_VALUES)
+    else:
+        holder[last] = data.draw(st.sampled_from([[holder[last]], {"v": holder[last]}]))
+
+
+@pytest.fixture(scope="module")
+def body_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("bodies")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_no_config_body_crashes_verify(body_folder, data):
+    body = json.loads(json.dumps(_FS_BODY))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(body, data)
+    path, out = body_folder / "config.json", body_folder / "report.json"
+    path.write_text(json.dumps(body))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--config", str(path), "--out", str(out)]) in (0, 1, 2)
+
+
+_EXPRS = st.sampled_from(["z1*z2*z3/z0", "i*(z0^2 + z1^2)", "z0^2", "i*2", "z1/z0", "", "z0^^2", "(z0", "z{3}"])
+_POINTS = st.one_of(
+    st.lists(st.sampled_from(["1", "i", "0", "-1.5+0.2i", "nan", "inf", "", "x", "1e308"]), max_size=5).map(",".join),
+    st.text(max_size=6),
+)
+_COEFFS = st.lists(st.sampled_from(["1", "0", "-2", "i", "0.5", "nan", "", "q"]), max_size=21).map(",".join)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(["parse", "sphere", "projective", "quartic"]), data=st.data())
+def test_no_query_argv_crashes(command, data):
+    if command == "quartic":
+        argv = ["quartic", "--case", data.draw(st.sampled_from(["A", "BD", "E6", "F", "G"]))]
+        argv += ["--coeffs", data.draw(_COEFFS)]
+    else:
+        argv = [command]
+        for flag, values in (("--expr", _EXPRS), ("--point", _POINTS), ("--nvars", st.integers(-2, 5).map(str))):
+            if data.draw(st.booleans()):
+                argv += [flag + "=" + data.draw(values)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

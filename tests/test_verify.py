@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,12 +44,11 @@ def test_sampling_is_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_zero_radius_returns_base_copies():
-    cfg = small_config(sample_radius=0.0, sample_count=3)
-    pts = verify.sample_points(cfg)
-    base = np.asarray(cfg.base_point)
-    assert len(pts) == 3
-    assert all(np.allclose(p, base, atol=0) for p in pts)
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_zero_radius_is_rejected(radius):
+    """Samples all at the base point would make every spread over them vacuously 0."""
+    with pytest.raises(ValueError, match="sample_radius"):
+        small_config(sample_radius=radius, sample_count=3)
 
 
 def test_inadmissible_base_rejected():
@@ -283,6 +284,17 @@ def test_config_rejects_unknown_check_id():
                 "checks": ["no.such.check"],
             }
         )
+    with pytest.raises(ValueError, match="checks"):
+        small_config(checks=("bogus",))   # when it is built, not when run_suite looks it up
+
+
+def test_every_benchmark_config_is_accepted_at_any_seed():
+    inputs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "inputs.json").read_text())
+    for body in inputs["configs"].values():
+        for seed in (0, 7, 2**63, 2**64 - 1):
+            assert verify.config_from_dict(dict(body, seed=seed)).seed == seed
+        with pytest.raises(ValueError, match="seed"):
+            verify.config_from_dict(dict(body, seed=2**64))
 
 
 def test_config_requires_mandatory_keys():
@@ -290,11 +302,43 @@ def test_config_requires_mandatory_keys():
         verify.config_from_dict({"prepotential": "z0^2"})
 
 
+def _readme_config_table() -> dict:
+    """README's suite config table: key -> its default cell."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Suite configs and reports")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \| .* \| (.*) \|$", section, re.MULTILINE)
+    return dict(rows)
+
+
+def test_readme_config_table_names_every_field_and_default():
+    """The table lists SuiteConfig's fields in order, with the tolerances' own, and the defaults they take."""
+    table = _readme_config_table()
+    keys = []
+    for f in dataclasses.fields(verify.SuiteConfig):
+        keys.append(f.name)
+        if f.name == "tolerances":
+            keys += [f"tolerances.{t.name}" for t in dataclasses.fields(verify.ToleranceProfile)]
+    assert list(table) == keys
+    minimal = {"prepotential": "i*(z0^2 + z1^2)", "n_vars": 2, "base_point": [[1, 0], [0.5, 0]]}
+    for key, cell in table.items():
+        if cell == "required":
+            with pytest.raises(ValueError, match="missing required key"):
+                verify.config_from_dict({k: v for k, v in minimal.items() if k != key})
+            continue
+        default = json.loads(re.match(r"`([^`]*)`", cell).group(1))
+        top, _, sub = key.partition(".")
+        given = {top: {sub: default} if sub else default}
+        assert verify.config_from_dict({**minimal, **given}) == verify.config_from_dict(minimal), key
+
+
 def test_tolerance_profile_validation():
     with pytest.raises(ValueError):
         verify.ToleranceProfile(analytic=-1.0)
     with pytest.raises(ValueError):
         verify.ToleranceProfile(analytic=1e-3, chart_fd=1e-5)
+    for bad in (float("inf"), float("nan"), 0, True, "1e-5", None, 10**400):
+        with pytest.raises(ValueError, match="tolerances.invariance"):
+            verify.ToleranceProfile(invariance=bad)
 
 
 def test_registry_has_spec_ids():
@@ -437,7 +481,7 @@ def test_a_sec5_check_raises_the_first_error_in_draw_order(cid, faults, first):
     assert result.point["error"] == f"ValueError: {expected.value}"
 
 
-def test_a_sec5_suite_makes_one_sampling_stack_and_few_quartic_stacks(monkeypatch):
+def test_a_sec5_suite_draws_no_samples_and_makes_few_quartic_stacks(monkeypatch):
     calls, gated = [], []
     real_quartic, real_gate = hom.quartic_eval, geo.domain_sample
 
@@ -455,7 +499,12 @@ def test_a_sec5_suite_makes_one_sampling_stack_and_few_quartic_stacks(monkeypatc
     per_case = Counter(calls)
     assert len(calls) <= 55 and per_case["A"] <= 20 and per_case["BD"] <= 20
     assert max(per_case["E6"], per_case["F"], per_case["G"]) <= 5
-    assert gated == [(3,), (16, 3)]   # the base point, then one stack of the 16 draws
+    assert gated == []   # no sec5 check reads a sample
+    # so an inadmissible base point (k = 0) does not stop a sec5 suite
+    stu_at_k0 = dict(prepotential="z1*z2*z3/z0", n_vars=4, base_point=(1.0, 1.0, 1j, 1j))
+    assert verify.run_suite(small_config(**stu_at_k0, checks=SEC5_IDS)).all_pass
+    with pytest.raises(InadmissiblePoint):
+        verify.run_suite(small_config(**stu_at_k0, checks=SEC5_IDS + ("eq.ma.spread",)))
 
 
 def test_the_homogeneity_checks_share_one_call_per_sample(monkeypatch):
